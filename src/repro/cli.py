@@ -104,7 +104,7 @@ def _build_runner(args, policy: CachePolicy, **overrides) -> ExperimentRunner:
 
 
 def _report_fast_path(stream=None) -> None:
-    """One-line replay-kernel summary after a ``--fast`` run (to stderr).
+    """One-line replay summary after a ``--fast`` run (to stderr).
 
     Covers the replays this process drove itself; cells served by shared-
     trace pool workers tally in their own processes and are not merged.
@@ -114,15 +114,10 @@ def _report_fast_path(stream=None) -> None:
     totals = kernel_totals()
     if not totals["transactions"]:
         return
-    reads = totals["batched_reads"] + totals["scalar_reads"]
-    batched = 100.0 * totals["batched_reads"] / reads if reads else 0.0
-    path = "numpy" if totals["vectorized"] else "pure-python"
     out = stream if stream is not None else sys.stderr
     print(
-        f"# replay kernel: {totals['transactions']:,} tx / "
-        f"{totals['events']:,} events in {totals['runs']:,} runs across "
-        f"{totals['cells']} cells; {batched:.0f}% of reads batched "
-        f"({path} path)",
+        f"# replay: {totals['transactions']:,} tx / "
+        f"{totals['events']:,} events across {totals['cells']} cells",
         file=out,
     )
 

@@ -129,6 +129,17 @@ class ExperimentConfig:
     max_inflight: int | None = None
 
     def __post_init__(self) -> None:
+        scales = {"scale": self.scale}
+        if self.trace_donor is not None:
+            scales["trace_donor"] = self.trace_donor
+        for field_name, value in scales.items():
+            if not isinstance(value, ScaleProfile):
+                raise ConfigError(
+                    f"{field_name} must be a ScaleProfile (e.g. "
+                    f"repro.tpcc.scale.TINY or BENCH), got {value!r}; "
+                    f"repro.tpcc.scale.parse_scale turns a profile's repr "
+                    f"back into one"
+                )
         resolve_policy(self.policy)  # fail fast on unknown names
         knobs = self.workload_knobs
         if isinstance(knobs, Mapping):

@@ -407,9 +407,9 @@ class _SharedReplayFailed:
 def replay_shared_cell(spec: CellSpec) -> ScenarioResult | _SharedReplayFailed:
     """Replay one cell from its published shared trace (pool worker target).
 
-    Attaches to the segment once per worker process (the attachment — and
-    the kernel's compiled plan — is cached and reused by every later cell
-    this worker replays from the same segment).  A replay that outruns the
+    Attaches to the segment once per worker process (the attachment is
+    cached and reused by every later cell this worker replays from the
+    same segment).  A replay that outruns the
     immutable segment, or a segment that has vanished, returns a
     :class:`_SharedReplayFailed` marker; the parent re-replays that cell
     against its live recorder.

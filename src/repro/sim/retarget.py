@@ -49,7 +49,6 @@ from typing import Any
 
 from repro.errors import ConfigError, TraceCodecError
 from repro.obs import OBS
-from repro.sim.kernel import remap_trace_args
 from repro.sim.replay import (
     BoundaryTrace,
     TraceRecorder,
@@ -63,6 +62,7 @@ from repro.sim.trace import (
     OP_TXEND,
     OP_UPDATE,
     PAYLOAD_BITS as _PAYLOAD_BITS,
+    PAYLOAD_MASK as _PAYLOAD_MASK,
 )
 from repro.tpcc.scale import ScaleProfile, page_geometry
 from repro.workload.registry import TPCC_SPEC, WorkloadSpec, get_workload_entry
@@ -151,6 +151,60 @@ def build_remap_table(donor: ScaleProfile, target: ScaleProfile):
     )
 
 
+def remap_trace_args(ops, args, table, start_op: int = 0, start_arg: int = 0):
+    """Remap the page operands of a trace suffix through a page-id ``table``.
+
+    ``table`` maps every donor page id to its target page id (``table[p]``),
+    as built by :func:`build_remap_table`.  READ operands
+    are page ids and remap directly; UPDATE operands pack
+    ``(page_id << PAYLOAD_BITS) | payload`` and remap only the page half;
+    TXEND operands (transaction kind/outcome) pass through untouched.
+
+    Vectorized under numpy (a frombuffer view plus a cumsum over the
+    operand-carrying events); the pure-``array`` fallback walks the suffix
+    once.
+    Returns a new ``array('q')`` of remapped operands for the suffix
+    starting at ``(start_op, start_arg)``.
+    """
+    if _np is not None:
+        ops_np = _np.frombuffer(ops, dtype=_np.uint8)[start_op:]
+        args_np = _np.frombuffer(args, dtype=_np.int64)[start_arg:]
+        lut = _np.frombuffer(table, dtype=_np.int64)
+        is_read = ops_np == OP_READ
+        is_update = ops_np == OP_UPDATE
+        has_arg = is_read | is_update | (ops_np == OP_TXEND)
+        # Operand slot of each event: a running count of operand-carrying
+        # events before it (READ_DUP and control events consume no slot).
+        arg_of_event = _np.cumsum(has_arg) - has_arg
+        out = args_np.copy()
+        read_slots = arg_of_event[is_read]
+        out[read_slots] = lut[args_np[read_slots]]
+        update_slots = arg_of_event[is_update]
+        packed = args_np[update_slots]
+        out[update_slots] = (lut[packed >> _PAYLOAD_BITS] << _PAYLOAD_BITS) | (
+            packed & _PAYLOAD_MASK
+        )
+        result = array("q")
+        result.frombytes(out.tobytes())
+        return result
+
+    out = array("q", args[start_arg:])
+    slot = 0
+    for op in ops[start_op:]:
+        if op == OP_READ:
+            out[slot] = table[out[slot]]
+            slot += 1
+        elif op == OP_UPDATE:
+            packed = out[slot]
+            out[slot] = (table[packed >> _PAYLOAD_BITS] << _PAYLOAD_BITS) | (
+                packed & _PAYLOAD_MASK
+            )
+            slot += 1
+        elif op == OP_TXEND:
+            slot += 1
+    return out
+
+
 # -- retargeted recorder ------------------------------------------------------
 
 
@@ -159,12 +213,12 @@ class RetargetedTraceRecorder:
 
     Quacks like :class:`~repro.sim.replay.TraceRecorder` for everything a
     replay touches (``scale``/``seed``/``trace``/``ensure``/
-    ``longest_trace`` plus the kernel's cached ``kernel_plan``) but never
-    records at the target scale: ``ensure`` pulls transactions from the
-    donor source and remaps the new suffix through the scale pair's lookup
-    table — vectorized under numpy, pure-``array`` otherwise — appending to
-    its own :class:`BoundaryTrace` so downstream machinery (kernel plans,
-    shared-memory publication, warm forks) works unchanged.
+    ``longest_trace``) but never records at the target scale: ``ensure``
+    pulls transactions from the donor source and remaps the new suffix
+    through the scale pair's lookup table — vectorized under numpy,
+    pure-``array`` otherwise — appending to its own :class:`BoundaryTrace`
+    so downstream machinery (shared-memory publication, warm forks) works
+    unchanged.
 
     The donor source is resolved lazily: a live donor recorder if one
     exists, else the persisted donor trace.  A replay outrunning the
@@ -196,7 +250,6 @@ class RetargetedTraceRecorder:
         self.donor_scale = donor_scale
         self.tx_kinds = get_workload_entry(TPCC_SPEC.name).tx_kinds
         self.trace = BoundaryTrace()
-        self.kernel_plan = None
         self.fork_token = f"retarget<-{donor_scale!r}"
         self.remap_seconds = 0.0
         self._table = build_remap_table(donor_scale, scale)

@@ -169,6 +169,12 @@ class TestExperimentConfig:
             ExperimentConfig(cache_fraction=0.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(measure_transactions=0)
+        # A scale *name* is not a profile: rejected here with a pointer to
+        # the parser, not as an AttributeError deep inside the loader.
+        with pytest.raises(ConfigError, match="scale must be a ScaleProfile.*parse_scale"):
+            ExperimentConfig(scale="tiny")
+        with pytest.raises(ConfigError, match="trace_donor must be a ScaleProfile.*parse_scale"):
+            ExperimentConfig(trace_donor="bench")
 
     def test_enum_policy_is_accepted(self):
         experiment = ExperimentConfig(policy=CachePolicy.LC)

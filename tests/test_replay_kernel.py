@@ -1,16 +1,19 @@
-"""Vectorized replay kernel + zero-copy shared traces (ISSUE 6).
+"""Replay loops, the replay tally, zero-copy shared traces and warm forks.
 
-Two independent claims are pinned here:
+Three independent claims are pinned here:
 
-* The batched kernel (:mod:`repro.sim.kernel`) replays bit-identically to
-  the scalar loops it replaces — for every cache policy, across seeds,
-  with OBS on and off, and on the pure-``array`` fallback when numpy is
-  absent (``REPRO_REPLAY_KERNEL=0`` selects the legacy loops, so equality
-  against them is the parity oracle).
+* :class:`~repro.sim.replay.ReplayRunner`'s two stepping loops agree: the
+  inlined LRU loop replays bit-identically to the exact reference loop
+  forced onto the same pool, and an OBS run (which always takes the
+  reference loop) reports the same result as a run with OBS off — for
+  every cache policy, across seeds.  The process-wide replay tally
+  (:mod:`repro.sim.kernel`) counts every replayed cell.
 * The shared-memory trace layer (:mod:`repro.sim.trace`) publishes one
   decoded trace that any number of workers attach to zero-copy, replays
   from it match the per-process path exactly, and segments are unlinked
   on normal sweep exit *and* after worker crashes — never leaked.
+* Post-warm-up forks (:mod:`repro.sim.warmstate`) replay bit-identically
+  to the warm-up they stand in for.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import pytest
 from repro.core.config import CachePolicy, scaled_reference_config
 from repro.errors import SharedTraceExhausted
 from repro.obs import OBS
-from repro.sim import kernel as kernel_mod
 from repro.sim import parallel as parallel_mod
-from repro.sim.kernel import kernel_totals, numpy_active, reset_kernel_totals
+from repro.sim.kernel import kernel_totals, reset_kernel_totals
 from repro.sim.parallel import CellSpec, _SharedReplayFailed, replay_shared_cell, run_cells
 from repro.sim.replay import (
+    ReplayRunner,
     SharedTraceRecorder,
     TraceRecorder,
     attached_recorder,
@@ -45,10 +48,6 @@ from repro.tpcc.loader import estimate_db_pages
 from repro.tpcc.scale import TINY
 
 DB_PAGES = estimate_db_pages(TINY)
-
-#: Simulated-metric namespaces whose obs snapshots must match exactly
-#: (mirrors tests/test_replay_parity.py; ``replay.*`` is machinery).
-PARITY_PREFIXES = ("flashcache.", "buffer.pool.", "wal.", "recovery.")
 
 FAST = dict(measure_transactions=120, warmup_min=40, warmup_max=600)
 
@@ -76,57 +75,26 @@ def _spec(policy: CachePolicy, seed: int = 42, fraction: float = 0.08, **over) -
     )
 
 
-def _assert_parity(kernel: dict, legacy: dict, collect_obs: bool) -> None:
-    kernel_obs, legacy_obs = kernel.pop("obs"), legacy.pop("obs")
-    assert kernel == legacy
-    if collect_obs:
-        for name, value in legacy_obs["counters"].items():
-            if name.startswith(PARITY_PREFIXES):
-                assert kernel_obs["counters"].get(name) == value, name
-        for name, value in kernel_obs["counters"].items():
-            if name.startswith(PARITY_PREFIXES):
-                assert legacy_obs["counters"].get(name) == value, name
-
-
-# -- kernel parity against the scalar loops ----------------------------------
+# -- the two replay loops agree ------------------------------------------------
 
 
 @pytest.mark.parametrize("policy", list(CachePolicy), ids=lambda p: p.value)
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("collect_obs", [False, True], ids=["obs-off", "obs-on"])
 def test_kernel_parity_every_policy(policy, seed, collect_obs, monkeypatch):
+    # The candidate takes the default dispatch: the inlined LRU loop with
+    # OBS off, the exact loop with OBS on.  The reference forces the exact
+    # loop with OBS off.  Forks are dropped between the two replays so the
+    # reference really warms up.
     spec = _spec(policy, seed=seed, collect_obs=collect_obs)
-    monkeypatch.delenv("REPRO_REPLAY_KERNEL", raising=False)
-    with_kernel = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, seed)))
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "0")
-    legacy = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, seed)))
-    _assert_parity(with_kernel, legacy, collect_obs)
-
-
-@pytest.mark.skipif(not numpy_active(), reason="numpy not installed")
-def test_kernel_fallback_equivalence_without_numpy(monkeypatch):
-    # The pure-`array` fallback must replay bit-identically to the numpy
-    # path: same plan tokens, same policy decisions, same RunResult.
-    spec = _spec(CachePolicy.FACE_GSC, collect_obs=True)
-    vectorized = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, 42)))
-    monkeypatch.setattr(kernel_mod, "_np", None)
-    monkeypatch.setattr(kernel_mod, "_KIND_LUT_NP", None)
-    fallback = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, 42)))
-    assert fallback["obs"]["gauges"]["replay.kernel.vectorized"] == 0.0
-    assert vectorized["obs"]["gauges"]["replay.kernel.vectorized"] == 1.0
-    _assert_parity(vectorized, fallback, collect_obs=True)
-
-
-def test_kernel_gauge_and_counters_published():
-    result = replay_cell(_spec(CachePolicy.FACE, collect_obs=True), TraceRecorder(TINY, 42))
-    gauges, counters = result.obs.gauges, result.obs.counters
-    assert gauges["replay.kernel.vectorized"] == (1.0 if numpy_active() else 0.0)
-    assert counters["replay.kernel.transactions"] > 0
-    assert counters["replay.kernel.events"] > 0
-    assert (
-        counters["replay.kernel.batched_reads"] + counters["replay.kernel.scalar_reads"]
-        > 0
-    )
+    candidate = dataclasses.asdict(replay_cell(spec, TraceRecorder(TINY, seed)))
+    assert (candidate["obs"] is not None) == collect_obs
+    clear_snapshots()
+    monkeypatch.setattr(ReplayRunner, "_replay_one", ReplayRunner._replay_one_exact)
+    reference_spec = dataclasses.replace(spec, collect_obs=False)
+    reference = dataclasses.asdict(replay_cell(reference_spec, TraceRecorder(TINY, seed)))
+    candidate.pop("obs"), reference.pop("obs")
+    assert candidate == reference
 
 
 def test_kernel_totals_accumulate_across_cells():
@@ -134,8 +102,10 @@ def test_kernel_totals_accumulate_across_cells():
     replay_cell(_spec(CachePolicy.LC), TraceRecorder(TINY, 42))
     totals = kernel_totals()
     assert totals["cells"] == 2
-    assert totals["transactions"] > 0
-    assert totals["vectorized"] == numpy_active()
+    # Warm-up is included, so each cell steps at least its measured window.
+    assert totals["transactions"] >= 2 * FAST["measure_transactions"]
+    assert totals["events"] > totals["transactions"]
+    assert set(totals) == {"cells", "transactions", "events"}
 
 
 # -- shared-memory trace lifecycle -------------------------------------------
@@ -319,16 +289,6 @@ def test_warm_fork_crash_scenario_bit_identical():
     assert second == first
 
 
-def test_warm_fork_parity_on_legacy_loops(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "0")
-    recorder = TraceRecorder(TINY, 42)
-    first = dataclasses.asdict(replay_cell(_spec(CachePolicy.LC), recorder))
-    second = dataclasses.asdict(replay_cell(_spec(CachePolicy.LC), recorder))
-    assert warm_fork_stats() == {"hits": 1, "misses": 1}
-    first.pop("obs"), second.pop("obs")
-    assert second == first
-
-
 def test_warm_fork_ineligible_with_obs_enabled():
     # OBS runs must execute warm-up for real (post-reset counter set),
     # so they never consult the fork cache at all.
@@ -338,23 +298,11 @@ def test_warm_fork_ineligible_with_obs_enabled():
     assert warm_fork_stats() == {"hits": 0, "misses": 0}
 
 
-def test_warm_fork_env_disable(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_WARMFORK", "0")
-    recorder = TraceRecorder(TINY, 42)
-    first = dataclasses.asdict(replay_cell(_spec(CachePolicy.FACE), recorder))
-    second = dataclasses.asdict(replay_cell(_spec(CachePolicy.FACE), recorder))
-    assert warm_fork_stats() == {"hits": 0, "misses": 0}
-    first.pop("obs"), second.pop("obs")
-    assert second == first  # determinism holds with the cache off too
-
-
 def test_fork_dbms_shares_wal_records_not_spines():
     # fork_dbms must share the immutable bulk (WAL records, page images)
     # while giving the clone private mutable containers.
     recorder = TraceRecorder(TINY, 42)
     spec = _spec(CachePolicy.FACE)
-    from repro.sim.replay import ReplayRunner
-
     runner = ReplayRunner(spec.config, recorder)
     runner.warm_up(40, 600)
     clone = fork_dbms(runner.dbms)

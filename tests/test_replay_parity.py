@@ -4,11 +4,11 @@ The replay engine's whole value rests on one claim (ISSUE: trace-replay
 tentpole): a cell served from the recorded boundary trace produces the
 *same* :class:`~repro.sim.runner.RunResult` — every simulated metric, to
 the last bit — as full execution of the same :class:`CellSpec`.  These
-tests pin that claim for every cache policy, for both DRAM replacement
-policies (the LRU fast loop and the exact fallback loop), with and without
-interval checkpoints, and through the ``run_cells(..., fast=True)``
-orchestration including its warm-fork fallback path and the persistent
-trace cache.
+tests pin that claim for every cache policy with OBS off and on, for both
+DRAM replacement policies (the LRU fast loop and the exact reference
+loop), with and without interval checkpoints, and through the
+``run_cells(..., fast=True)`` orchestration including its warm-fork
+fallback path and the persistent trace cache.
 
 Parity is asserted with ``dataclasses.asdict`` equality, excluding only
 ``obs``: observability snapshots are compared on the simulated-metric
@@ -92,10 +92,22 @@ def _parity(spec: CellSpec) -> None:
 # -- the headline property: every policy, two seeds --------------------------
 
 
-@pytest.mark.parametrize("policy", list(CachePolicy), ids=lambda p: p.value)
-@pytest.mark.parametrize("seed", [42, 7])
-def test_replay_parity_every_policy(policy, seed):
-    _parity(_spec(policy, seed=seed))
+#: OBS off keeps the plain ``<seed>-<policy>`` ids; OBS on (the exact
+#: reference loop, every counter compared) is prefixed ``obs-on-``.
+_EVERY_POLICY = [
+    pytest.param(
+        policy, seed, collect_obs,
+        id=f"{'obs-on-' if collect_obs else ''}{seed}-{policy.value}",
+    )
+    for collect_obs in (False, True)
+    for seed in (42, 7)
+    for policy in CachePolicy
+]
+
+
+@pytest.mark.parametrize("policy, seed, collect_obs", _EVERY_POLICY)
+def test_replay_parity_every_policy(policy, seed, collect_obs):
+    _parity(_spec(policy, seed=seed, collect_obs=collect_obs))
 
 
 # -- protocol variations -----------------------------------------------------

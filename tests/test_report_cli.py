@@ -1,5 +1,7 @@
 """Markdown reports and the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.analysis.report import (
@@ -95,6 +97,33 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "tpmC" in out
+
+    def test_fast_run_prints_replay_summary(self, capsys, monkeypatch):
+        from repro.sim.kernel import reset_kernel_totals
+        from repro.sim.replay import clear_recorders
+        from repro.sim.warmstate import clear_snapshots
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+        clear_recorders()
+        clear_snapshots()
+        reset_kernel_totals()
+        try:
+            # Two policies share one trace, so both cells are replayed.
+            code = main(
+                ["--scale", "tiny", "--cache-fraction", "0.3",
+                 "run", "face", "lc", "--transactions", "150", "--fast"]
+            )
+        finally:
+            clear_recorders()
+            clear_snapshots()
+            reset_kernel_totals()
+        assert code == 0
+        err = capsys.readouterr().err
+        summary = [line for line in err.splitlines() if line.startswith("# replay")]
+        assert len(summary) == 1
+        assert re.fullmatch(
+            r"# replay: [\d,]+ tx / [\d,]+ events across 2 cells", summary[0]
+        )
 
     def test_bad_scale_exits(self):
         with pytest.raises(SystemExit):
