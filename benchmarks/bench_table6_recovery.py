@@ -14,7 +14,7 @@ crash is injected halfway through an interval, as in the paper.
 
 The {policy} x {interval} grid runs as :class:`CrashRecoveryScenario` cells
 through the parallel engine: every cell shares one ``(BENCH, 42)`` workload
-stream, so with ``REPRO_BENCH_FAST`` (the default) all six crash cells
+stream, so on the trace-replay fast path all six crash cells
 replay one recorded boundary trace — truncated at each cell's kill point —
 with bit-identical restart reports.
 """
@@ -26,7 +26,6 @@ from repro.sim.parallel import CellSpec, run_cells
 from repro.sim.scenario import CrashRecoveryScenario
 from repro.tpcc.scale import BENCH
 from benchmarks.conftest import (
-    BENCH_FAST,
     BENCH_JOBS,
     FULL_MODE,
     WARMUP_MAX,
@@ -63,7 +62,7 @@ def _crash_grid():
         for policy in SERIES
         for interval in INTERVALS
     ]
-    cells = run_cells(specs, jobs=BENCH_JOBS, fast=BENCH_FAST)
+    cells = run_cells(specs, jobs=BENCH_JOBS, fast=True)
     return {
         policy: [cells[(policy, interval)].report for interval in INTERVALS]
         for policy in SERIES

@@ -18,9 +18,9 @@ fan each harness's grid out over N worker processes — results are
 bit-identical to a serial run.
 
 Set ``REPRO_BENCH_MODE=full`` for longer runs (tighter estimates, same
-shapes).  Cells are served from the trace-replay fast path by default
-(bit-identical results, several-fold faster grids); ``REPRO_BENCH_FAST=0``
-forces full execution.
+shapes).  Cells are always served from the trace-replay fast path
+(bit-identical results, pinned by ``tests/test_replay_parity.py``;
+several-fold faster grids).
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ FULL_MODE = os.environ.get("REPRO_BENCH_MODE", "quick") == "full"
 
 #: Worker processes per harness grid (1 = serial, 0 = one per CPU).
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
-
-#: Serve sweep cells from the trace-replay fast path
-#: (:mod:`repro.sim.replay`) by default — results are bit-identical to full
-#: execution and table-style grids finish several times faster.  Set
-#: ``REPRO_BENCH_FAST=0`` to force full execution everywhere (e.g. when
-#: benchmarking the execution engine itself).
-BENCH_FAST = os.environ.get("REPRO_BENCH_FAST", "1").strip().lower() not in (
-    "0", "off", "no",
-)
 
 #: Measured transactions per configuration.
 MEASURE_TX = 6000 if FULL_MODE else 2500
@@ -133,7 +124,7 @@ def prefetch_cells(keys: Iterable[tuple[str, float, str]], jobs: int | None = No
         return
     jobs = BENCH_JOBS if jobs is None else jobs
     _CELL_RESULTS.update(
-        run_cells([_cell_spec(k) for k in missing], jobs=jobs, fast=BENCH_FAST)
+        run_cells([_cell_spec(k) for k in missing], jobs=jobs, fast=True)
     )
 
 
@@ -174,7 +165,7 @@ def steady_cells(
         for label, config in configs.items()
     ]
     jobs = BENCH_JOBS if jobs is None else jobs
-    cells = run_cells(specs, jobs=jobs, fast=BENCH_FAST)
+    cells = run_cells(specs, jobs=jobs, fast=True)
     return {key[0]: result for key, result in cells.items()}
 
 

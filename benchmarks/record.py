@@ -1,88 +1,39 @@
-"""Benchmark-regression recorder: ``python benchmarks/record.py``.
+"""Benchmark-regression recorder: one runner for every gated bench record.
 
-Runs a fixed, small TINY-scale sweep through the parallel engine and writes
-``BENCH_sweep.json`` next to this file with:
+Every gated ``benchmarks/BENCH_<spec>.json`` record is one entry of
+:data:`SPECS`: ``sweep`` (the default; Table 3/4 grid, fast path and
+retarget passes), ``ablation``, ``latency``, ``scan``, ``recovery`` and
+``storage``.  An entry gives the record's grid (full size, plus the
+overrides ``--smoke`` applies), the run function that measures it, the
+keys the record must carry and its gates, a pure function of the new
+record and the previous one.  One runner does the rest for every spec: it
+writes the record with ``spec``, ``provenance`` (commit, Python version,
+numpy present, cores, scale) and ``gates`` added to ``latest``, moves the
+previous ``latest`` into a bounded ``history``, prints one
+``PASS|FAIL name: value (bound)`` line per gate and, under ``--strict``,
+exits non-zero when any gate fails.  Wall-time gates compare only records
+of the same mode: a smoke run measures other cells than a full baseline.
 
-* per-cell wall-clock seconds (host time) and simulated transaction rate,
-* aggregate wall-seconds-per-cell for the serial and parallel passes and
-  the resulting speedup,
-* a determinism flag (parallel results bit-identical to serial),
-* a bounded history of previous records for trend comparison.
-
-If the new serial wall-seconds-per-cell regresses more than
-``REGRESSION_TOLERANCE`` against the previous record, the script warns (and
-exits non-zero with ``--strict``).  Intended uses:
-
-* locally, after a perf-affecting change: ``python benchmarks/record.py``
-* in CI as a cheap smoke: ``python benchmarks/record.py --smoke --jobs 2``
-* diagnosing a regressed cell: ``python benchmarks/record.py --obs`` adds a
-  per-cell observability extract (cache/buffer/WAL counters) to the record,
-  so the *why* behind a wall-seconds or tpmC shift is in the JSON, not lost
-* ``--fast`` additionally times the trace-replay fast path against the full
-  serial pass: one cold grid pass (includes recording the boundary trace),
-  the one-time trace load + decode cost measured separately (``prepare``),
-  and one warm per-cell pass whose speedup over full serial execution is
-  gated at ``MIN_WARM_FAST_SPEEDUP`` (8x) under ``--strict``; with
-  ``--jobs > 1`` it also runs a multi-worker pass served from one shared
-  ``/dev/shm`` trace segment, recording shared-cell counts and gating on
-  zero leaked segments; a parity flag asserts every fast variant is
-  bit-identical to full execution
-* ``--retarget`` additionally runs the cross-scale retargeting pass: one
-  BENCH-scale donor recording drives the whole TINY grid with zero native
-  re-recording, the remap-only re-derivation is timed against a cold
-  native recording (gated at ``MIN_RETARGET_SPEEDUP``, 3x), and the
-  two-tier parity evidence from ``repro.sim.retarget.verify_retarget``
-  (identity bit-parity + statistical skew/hit-ratio gates) is embedded in
-  the record under ``retarget``
-* ``--ablation`` records the replay-driven ablation engine instead: a dense
-  TINY knob grid (policy x admission x DRAM policy x scan depth; 64 cells,
-  ``--smoke`` shrinks it to a 2-axis 4-cell grid) served from one shared
-  boundary trace, written to ``BENCH_ablation.json`` with per-axis
-  sensitivities, a replay-parity flag from full-execution spot checks, and
-  the persisted trace's compression ratio — the two acceptance gates
-  (``parity`` true, ``compression_ratio >= 3``) fail the run under
-  ``--strict``
-* ``--latency`` records the closed-loop service grid instead: a TINY
-  {policy} x {client count} matrix (1 -> 50 -> 500 -> 5000 clients) run as
-  :class:`~repro.sim.service.ServiceScenario` cells over the shared
-  boundary trace, written to ``BENCH_latency.json`` with per-cell
-  throughput + p50/p95/p99 latency, each policy's saturation knee (the
-  first client count whose throughput gain falls under
-  ``KNEE_GAIN_THRESHOLD``), and a replay-parity flag — the acceptance
-  gates (``parity`` true, monotone p50 <= p95 <= p99 per cell, every
-  policy saturating within the swept range) fail the run under
-  ``--strict``
-* ``--scan`` records the scan-resistance grid instead: a TINY
-  {policy} x {scan mix} matrix driving the ``tpch-scan`` registry workload
-  (pure sequential scans, then the HTAP probe/update preset) over
-  {mvFIFO+GSC, LRU-2, LC}, written to ``BENCH_scan.json`` with per-cell
-  steady-state flash hit ratios and throughput — the acceptance gates
-  (``parity`` true, zero natively recorded transactions in the timed
-  replay pass, and GSC's pure-scan hit ratio strictly above LRU-2's: the
-  paper's §3.3 scan-resistance claim) fail the run under ``--strict``
-* ``--recovery`` records the Table-6-style crash/restart grid instead: a
-  BENCH-scale {policy} x {checkpoint interval} crash matrix run as
-  :class:`~repro.sim.scenario.CrashRecoveryScenario` cells over the shared
-  boundary trace, written to ``BENCH_recovery.json`` with per-cell restart
-  reports, FaCE-vs-baseline restart speedups, and a replay-parity flag from
-  full-execution spot checks — the acceptance gates (``parity`` true, FaCE
-  restart at least ``MIN_RESTART_SPEEDUP`` x faster than the LC and
-  HDD-only baselines at every interval) fail the run under ``--strict``
-
-Any cell whose wall time regresses more than ``CELL_REGRESSION_FACTOR``
-(2x) against the previous record also warns — that is the CI gate.
-
-The script is standalone — it does not import pytest or the benchmarks
-conftest — so it can run anywhere the package can.
+Typical uses: ``python benchmarks/record.py latency`` regenerates
+``BENCH_latency.json``; ``python benchmarks/record.py scan --smoke --strict
+--output /tmp/scan.json`` is a CI-sized check; ``python benchmarks/record.py
+--obs`` adds per-cell counter extracts to the sweep.  The script is
+standalone (no pytest, no benchmarks conftest).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib.util
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 # Standalone bootstrap: make `repro` importable when run as a script from
 # a checkout (PYTHONPATH=src not required).
@@ -93,87 +44,191 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 from repro.core.config import CachePolicy, scaled_reference_config  # noqa: E402
 from repro.obs import OBS  # noqa: E402
 from repro.sim.parallel import CellSpec, run_cells  # noqa: E402
-from repro.sim.replay import (  # noqa: E402
-    cached_trace_exists,
-    clear_recorders,
-    prepare_replay,
-)
+from repro.sim.replay import cached_trace_exists, clear_recorders  # noqa: E402
+from repro.sim.replay import prepare_replay  # noqa: E402
 from repro.sim.trace import leaked_shared_segments  # noqa: E402
 from repro.sim.warmstate import snapshot_load_seconds  # noqa: E402
 from repro.tpcc.loader import estimate_db_pages  # noqa: E402
 from repro.tpcc.scale import BENCH, TINY  # noqa: E402
 
-RECORD_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
-ABLATION_RECORD_PATH = Path(__file__).resolve().parent / "BENCH_ablation.json"
-RECOVERY_RECORD_PATH = Path(__file__).resolve().parent / "BENCH_recovery.json"
-LATENCY_RECORD_PATH = Path(__file__).resolve().parent / "BENCH_latency.json"
-SCAN_RECORD_PATH = Path(__file__).resolve().parent / "BENCH_scan.json"
-STORAGE_RECORD_PATH = Path(__file__).resolve().parent / "BENCH_storage.json"
+BENCH_DIR = Path(__file__).resolve().parent
 HISTORY_LIMIT = 20
-#: Warn when serial wall-seconds-per-cell grows past previous * (1 + tol).
-REGRESSION_TOLERANCE = 0.30
-#: Warn when any single cell's wall time grows past previous * factor.
-#: Deliberately loose: per-cell times on shared CI runners are noisy, and
-#: the gate exists to catch order-of-magnitude engine regressions.
-CELL_REGRESSION_FACTOR = 2.0
-#: The warm fast-grid pass (pure per-cell replay, one-time trace decode
-#: paid separately) must beat full serial
-#: execution by at least this factor.  Host speed cancels out of the
-#: ratio, so the gate is stable across runners.
-MIN_WARM_FAST_SPEEDUP = 8.0
-
-POLICIES = (CachePolicy.LC, CachePolicy.FACE, CachePolicy.FACE_GR,
-            CachePolicy.FACE_GSC)
-FRACTIONS = (0.08, 0.16)
-MEASURE_TX = 1500
 SEED = 42
+SCALES = {"tiny": TINY, "bench": BENCH}
 
 
-def sweep_specs(smoke: bool = False, collect_obs: bool = False) -> list[CellSpec]:
-    db_pages = estimate_db_pages(TINY)
-    policies = POLICIES[:1] if smoke else POLICIES
-    fractions = FRACTIONS[:2] if smoke else FRACTIONS
-    return [
-        CellSpec(
-            key=(policy.value, fraction),
-            config=scaled_reference_config(
-                db_pages, cache_fraction=fraction, policy=policy
-            ),
-            scale=TINY,
-            seed=SEED,
-            measure_transactions=MEASURE_TX,
-            collect_obs=collect_obs,
-        )
-        for policy in policies
-        for fraction in fractions
-    ]
+# -- gates -------------------------------------------------------------------
 
 
-def timed_pass(specs: list[CellSpec], jobs: int) -> tuple[float, dict]:
+@dataclasses.dataclass(frozen=True)
+class Gate:
+    """One acceptance check on a record: ``value`` held against ``bound``."""
+
+    name: str
+    value: object
+    bound: str
+    passed: bool
+
+
+_OPS = {
+    "==": lambda value, limit: value == limit,
+    ">": lambda value, limit: value is not None and value > limit,
+    ">=": lambda value, limit: value is not None and value >= limit,
+    "<=": lambda value, limit: value is not None and value <= limit,
+}
+
+
+def check(name: str, value, op: str, limit) -> Gate:
+    """The gate ``value op limit``; a missing (``None``) value fails."""
+    return Gate(name, value, f"{op} {json.dumps(limit)}", _OPS[op](value, limit))
+
+
+def lookup(record: dict, path: str):
+    """The value at ``dotted.path`` in ``record``, or ``None`` if absent."""
+    value = record
+    for part in path.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    return value
+
+
+def missing_keys(record: dict, schema: dict[str, tuple[str, ...]]) -> list[str]:
+    """Keys ``schema`` requires that ``record`` lacks.
+
+    A schema path is ``""`` for the record itself, ``name`` for a nested
+    dict, ``name[]`` for every row of a list and ``name{}`` for every value
+    of a dict.
+    """
+    missing = []
+    for path, keys in schema.items():
+        name = path.rstrip("[]{}")
+        if not path:
+            items = [record]
+        elif path.endswith("[]"):
+            items = record.get(name, [])
+        elif path.endswith("{}"):
+            items = list(record.get(name, {}).values())
+        else:
+            items = [record.get(name, {})]
+        missing += sorted({
+            f"{path}.{key}" if path else key
+            for item in items for key in keys if key not in item
+        })
+    return missing
+
+
+@dataclasses.dataclass(frozen=True)
+class Spec:
+    """One gated record: its grid, how to measure it, and what must hold."""
+
+    #: Full-size parameters; ``scale`` names the database scale.
+    grid: dict
+    #: Overrides of ``grid`` for the ``--smoke`` size.
+    smoke: dict
+    #: ``run(grid, jobs) -> payload``: the record's measured keys.
+    run: Callable[[dict, int], dict]
+    #: Keys every record must carry (see :func:`missing_keys`).
+    schema: dict
+    #: ``(dotted.path, op, limit)`` field gates, and those for full records only.
+    rules: tuple = ()
+    full_only: tuple = ()
+    #: ``checks(record, previous) -> [Gate]``: gates derived from many fields.
+    checks: Callable[[dict, dict | None], list[Gate]] | None = None
+
+    def gates(self, record: dict, previous: dict | None = None) -> list[Gate]:
+        """Every gate of ``record``; pure, so a stored record re-checks."""
+        schema = check("schema", missing_keys(record, self.schema), "==", [])
+        if not schema.passed:
+            return [schema]
+        rules = self.rules + (self.full_only if record["mode"] == "full" else ())
+        gates = [schema] + [
+            check(path, lookup(record, path), op, limit) for path, op, limit in rules
+        ]
+        return gates + (self.checks(record, previous) if self.checks else [])
+
+
+# -- measurement helpers -----------------------------------------------------
+
+
+def _strip_obs(cells: dict) -> dict:
+    """Results without snapshots, for fast-vs-full parity: the ``replay.*``
+    namespace describes the replay machinery and has no full-run twin."""
+    return {key: dataclasses.replace(r, obs=None) for key, r in cells.items()}
+
+
+def _timed(fn):
     start = time.perf_counter()
-    cells = run_cells(specs, jobs=jobs)
-    return time.perf_counter() - start, cells
+    result = fn()
+    return time.perf_counter() - start, result
 
 
-#: Metric prefixes worth carrying into the benchmark record when ``--obs``
-#: is on: enough to explain *why* a cell's throughput moved, small enough
-#: to keep BENCH_sweep.json readable.
+def _observed(fn, *counters: str):
+    """Run ``fn()`` with observability on; return its result and counters."""
+    was_enabled = OBS.enabled
+    OBS.clear()
+    OBS.enable()
+    try:
+        result = fn()
+        values = [OBS.counter(name).value for name in counters]
+    finally:
+        OBS.clear()
+        if not was_enabled:
+            OBS.disable()
+    return result, values
+
+
+def _per_cell(specs: list[CellSpec], fast: bool = False):
+    """Run each cell alone: total wall, results, and wall seconds per key."""
+    walls, cells = {}, {}
+    start = time.perf_counter()
+    for spec in specs:
+        walls[spec.key], cell = _timed(lambda: run_cells([spec], jobs=1, fast=fast))
+        cells.update(cell)
+    return time.perf_counter() - start, cells, walls
+
+
+def _ratio(num: float, den: float, digits: int = 3):
+    return round(num / den, digits) if den > 0 else None
+
+
+# -- sweep -------------------------------------------------------------------
+
+#: Gates on serial wall-seconds-per-cell (previous * (1 + tol)) and on any
+#: single cell's wall time (previous * factor).  The per-cell one is loose:
+#: it exists to catch order-of-magnitude engine regressions.
+REGRESSION_TOLERANCE = 0.30
+CELL_REGRESSION_FACTOR = 2.0
+#: The warm fast-grid pass (pure per-cell replay, trace decode paid
+#: separately) must beat full serial execution by this factor; host speed
+#: cancels out of the ratio.
+MIN_WARM_FAST_SPEEDUP = 8.0
+#: Re-deriving the grid's replay source from a live donor recording (a
+#: remap, tens of milliseconds) must beat recording the same transactions
+#: natively at the target scale (~1 s) by at least this factor.
+MIN_RETARGET_SPEEDUP = 3.0
+#: Metric prefixes carried into the record when ``--obs`` is on: enough
+#: to explain *why* a cell's throughput moved, small enough to read.
 OBS_PREFIXES = ("flashcache.", "buffer.pool.", "wal.")
 
 
-def obs_extract(result) -> dict[str, float] | None:
-    """Counters/gauges from the cell's snapshot under :data:`OBS_PREFIXES`."""
-    if result.obs is None:
-        return None
-    flat = result.obs.as_flat()
-    return {
-        name: flat[name]
-        for name in sorted(flat)
-        if name.startswith(OBS_PREFIXES) and flat[name]
-    }
+def sweep_specs(grid: dict) -> list[CellSpec]:
+    scale = SCALES[grid["scale"]]
+    db_pages = estimate_db_pages(scale)
+    return [
+        CellSpec(
+            key=(policy, fraction),
+            config=scaled_reference_config(
+                db_pages, cache_fraction=fraction, policy=CachePolicy(policy)
+            ),
+            scale=scale, seed=SEED, collect_obs=grid["collect_obs"],
+            measure_transactions=grid["measure_transactions"],
+        )
+        for policy in grid["policy"] for fraction in grid["cache_fraction"]
+    ]
 
 
 def cell_rows(cells: dict, wall_by_key: dict) -> list[dict]:
+    """Per-cell record rows, with an :data:`OBS_PREFIXES` counter extract
+    when the cell collected a snapshot."""
     rows = []
     for key, result in cells.items():
         row = {
@@ -187,19 +242,14 @@ def cell_rows(cells: dict, wall_by_key: dict) -> list[dict]:
             ),
             "flash_hit_rate": round(result.flash_hit_rate, 6),
         }
-        extract = obs_extract(result)
-        if extract is not None:
-            row["obs"] = extract
+        if result.obs is not None:
+            flat = result.obs.as_flat()
+            row["obs"] = {
+                name: flat[name] for name in sorted(flat)
+                if name.startswith(OBS_PREFIXES) and flat[name]
+            }
         rows.append(row)
     return rows
-
-
-def _strip_obs(cells: dict) -> dict:
-    """Results without snapshots, for fast-vs-full parity: the ``replay.*``
-    namespace describes the replay machinery and has no full-run twin."""
-    import dataclasses
-
-    return {key: dataclasses.replace(r, obs=None) for key, r in cells.items()}
 
 
 def shared_pass(specs: list[CellSpec], serial_cells: dict, jobs: int) -> dict:
@@ -210,24 +260,13 @@ def shared_pass(specs: list[CellSpec], serial_cells: dict, jobs: int) -> dict:
     path actually serving cells, zero exhaustion fallbacks in the steady
     case, and — the hard gate — zero leaked segments after the sweep.
     """
-    was_enabled = OBS.enabled
-    OBS.clear()
-    OBS.enable()
-    try:
-        start = time.perf_counter()
-        cells = run_cells(specs, jobs=jobs, fast=True)
-        wall = time.perf_counter() - start
-        shared_cells = OBS.counter("replay.shared.cells").value
-        exhausted = OBS.counter("replay.shared.exhausted").value
-    finally:
-        OBS.clear()
-        if not was_enabled:
-            OBS.disable()
+    (wall, cells), (shared_cells, exhausted) = _observed(
+        lambda: _timed(lambda: run_cells(specs, jobs=jobs, fast=True)),
+        "replay.shared.cells", "replay.shared.exhausted",
+    )
     return {
-        "jobs": jobs,
-        "wall_seconds": round(wall, 3),
-        "shared_cells": int(shared_cells),
-        "exhausted": int(exhausted),
+        "jobs": jobs, "wall_seconds": round(wall, 3),
+        "shared_cells": int(shared_cells), "exhausted": int(exhausted),
         "parity": _strip_obs(cells) == _strip_obs(serial_cells),
         "leaked_segments": leaked_shared_segments(),
     }
@@ -240,13 +279,10 @@ def fast_passes(
 
     Between the two, the one-time trace preparation (load + decode of the
     persisted boundary trace) is re-paid from scratch and recorded under
-    ``prepare`` — so the warm per-cell figures are pure replay and
-    the fixed cost is visible in the record instead of silently folded
-    into whichever cell runs first.
+    ``prepare`` — so the warm per-cell figures are pure replay and the
+    fixed cost is visible instead of folded into whichever cell runs first.
     """
-    cold_start = time.perf_counter()
-    cold_cells = run_cells(specs, jobs=1, fast=True)
-    cold_wall = time.perf_counter() - cold_start
+    cold_wall, cold_cells = _timed(lambda: run_cells(specs, jobs=1, fast=True))
 
     prepare = None
     if all(cached_trace_exists(spec.scale, spec.seed) for spec in specs):
@@ -261,15 +297,7 @@ def fast_passes(
             ],
         }
 
-    warm_by_key: dict = {}
-    warm_cells: dict = {}
-    warm_start = time.perf_counter()
-    for spec in specs:
-        t0 = time.perf_counter()
-        warm_cells.update(run_cells([spec], jobs=1, fast=True))
-        warm_by_key[spec.key] = time.perf_counter() - t0
-    warm_wall = time.perf_counter() - warm_start
-
+    warm_wall, warm_cells, warm_by_key = _per_cell(specs, fast=True)
     parity = (
         _strip_obs(cold_cells) == _strip_obs(serial_cells)
         and _strip_obs(warm_cells) == _strip_obs(serial_cells)
@@ -278,10 +306,8 @@ def fast_passes(
         "cold_wall_seconds": round(cold_wall, 3),
         "warm_wall_seconds": round(warm_wall, 3),
         "warm_wall_seconds_per_cell": round(warm_wall / len(specs), 4),
-        "speedup_cold_vs_serial": round(serial_wall / cold_wall, 3)
-        if cold_wall > 0 else None,
-        "speedup_warm_vs_serial": round(serial_wall / warm_wall, 3)
-        if warm_wall > 0 else None,
+        "speedup_cold_vs_serial": _ratio(serial_wall, cold_wall),
+        "speedup_warm_vs_serial": _ratio(serial_wall, warm_wall),
         "parity": parity,
         "snapshot_load_seconds": round(snapshot_load_seconds(), 3),
         "cells": [
@@ -296,213 +322,67 @@ def fast_passes(
     return record
 
 
-def run_record(
-    jobs: int, smoke: bool, collect_obs: bool = False, fast: bool = False
-) -> dict:
-    specs = sweep_specs(smoke, collect_obs=collect_obs)
+def retarget_pass(grid: dict) -> dict:
+    """One donor recording drives the whole grid; time and gate it.
 
-    # Serial pass, timing each cell individually for the per-cell record.
-    wall_by_key: dict = {}
-    serial_cells: dict = {}
-    serial_start = time.perf_counter()
-    for spec in specs:
-        t0 = time.perf_counter()
-        serial_cells.update(run_cells([spec], jobs=1))
-        wall_by_key[spec.key] = time.perf_counter() - t0
-    serial_wall = time.perf_counter() - serial_start
-
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": "smoke" if smoke else "full",
-        "cells": cell_rows(serial_cells, wall_by_key),
-        "serial": {
-            "wall_seconds": round(serial_wall, 3),
-            "wall_seconds_per_cell": round(serial_wall / len(specs), 4),
-        },
-    }
-
-    if fast:
-        record["fast"] = fast_passes(specs, serial_cells, serial_wall, jobs=jobs)
-
-    if jobs > 1:
-        parallel_wall, parallel_cells = timed_pass(specs, jobs)
-        record["parallel"] = {
-            "jobs": jobs,
-            "wall_seconds": round(parallel_wall, 3),
-            "wall_seconds_per_cell": round(parallel_wall / len(specs), 4),
-            "speedup_vs_serial": round(serial_wall / parallel_wall, 3)
-            if parallel_wall > 0 else None,
-        }
-        record["deterministic"] = parallel_cells == serial_cells
-    else:
-        record["deterministic"] = True  # vacuous: single pass
-
-    return record
-
-
-def compare_with_previous(record: dict, previous: dict | None) -> list[str]:
-    warnings = []
-    if previous is None:
-        return warnings
-    if previous.get("mode") != record.get("mode"):
-        # A smoke run against a committed full-grid baseline (CI's shape)
-        # measures different cells; rate comparisons would be noise.  The
-        # absolute fast-path gates (fast_gate_warnings) still apply.
-        if not record.get("deterministic", True):
-            warnings.append("parallel results are NOT bit-identical to serial")
-        return warnings
-    prev_rate = previous.get("serial", {}).get("wall_seconds_per_cell")
-    new_rate = record["serial"]["wall_seconds_per_cell"]
-    if prev_rate and new_rate > prev_rate * (1 + REGRESSION_TOLERANCE):
-        warnings.append(
-            f"serial wall-seconds/cell regressed: {prev_rate:.3f}s -> "
-            f"{new_rate:.3f}s (> {REGRESSION_TOLERANCE:.0%} tolerance)"
-        )
-    prev_cells = {
-        tuple(row["key"]): row.get("wall_seconds")
-        for row in previous.get("cells", [])
-    }
-    for row in record["cells"]:
-        prev_wall = prev_cells.get(tuple(row["key"]))
-        if prev_wall and row["wall_seconds"] > prev_wall * CELL_REGRESSION_FACTOR:
-            warnings.append(
-                f"cell {row['key']} wall time regressed: {prev_wall:.3f}s -> "
-                f"{row['wall_seconds']:.3f}s (> {CELL_REGRESSION_FACTOR:.0f}x)"
-            )
-    if not record.get("deterministic", True):
-        warnings.append("parallel results are NOT bit-identical to serial")
-    return warnings
-
-
-def fast_gate_warnings(record: dict) -> list[str]:
-    """Absolute gates on the fast-path record (no previous record needed)."""
-    fast = record.get("fast")
-    if not fast:
-        return []
-    warnings = []
-    if not fast["parity"]:
-        warnings.append("fast-path results are NOT bit-identical to full execution")
-    warm = fast.get("speedup_warm_vs_serial")
-    if warm is not None and warm < MIN_WARM_FAST_SPEEDUP:
-        warnings.append(
-            f"warm fast-grid speedup {warm}x over full serial is below the "
-            f"{MIN_WARM_FAST_SPEEDUP:.0f}x floor"
-        )
-    shared = fast.get("shared")
-    if shared is not None:
-        if not shared["parity"]:
-            warnings.append(
-                "shared-trace multi-worker results are NOT bit-identical to serial"
-            )
-        if shared["shared_cells"] == 0:
-            warnings.append(
-                "shared-memory trace path never served a cell in the "
-                "multi-worker pass"
-            )
-        if shared["leaked_segments"]:
-            warnings.append(
-                f"leaked /dev/shm trace segments after the sweep: "
-                f"{shared['leaked_segments']}"
-            )
-    return warnings
-
-
-# -- retarget record ---------------------------------------------------------
-
-#: Re-deriving the grid's replay source from a live donor recording (a
-#: remap over the token stream) must beat recording the same transactions
-#: natively at the target scale by at least this factor.  Measured: the
-#: remap runs in tens of milliseconds against ~1s of native recording, so
-#: the floor has an order of magnitude of headroom.
-MIN_RETARGET_SPEEDUP = 3.0
-
-
-def run_retarget_pass(jobs: int, smoke: bool) -> dict:
-    """One BENCH donor recording drives the whole TINY grid; time and gate it.
-
-    The economics claim of cross-scale retargeting, measured end to end:
-
-    1. wipe every native (TINY, SEED) trace source, so nothing can serve
+    1. wipe every native (target, SEED) trace source, so nothing can serve
        the grid except the donor;
-    2. seed — record one BENCH-scale donor and run the grid once from it
-       (this also warms the per-``(scale, seed)`` database forks);
+    2. seed — record one donor and run the grid once from it (this also
+       warms the per-``(scale, seed)`` database forks);
     3. the timed claim — re-derive the grid's replay source from the live
        donor (``prepare_replay`` pays the full remap up front) and replay
-       the grid with observability on, asserting **zero** natively recorded
+       the grid with observability on: **zero** natively recorded
        transactions;
-    4. the baseline — record the same number of transactions natively at
-       TINY with the cache off, which is what every fresh ``(scale, seed)``
-       grid would otherwise pay;
+    4. the baseline — record the same transactions natively at the target
+       scale with the cache off, what every fresh grid would otherwise pay;
     5. evidence — :func:`repro.sim.retarget.verify_retarget` runs both
-       parity tiers (identity bit-parity, statistical skew/hit-ratio
-       gates) and its full output is embedded in the record.
+       parity tiers (identity bit-parity, statistical skew/hit-ratio gates)
+       and its full output is embedded in the record.
     """
-    import dataclasses
-
-    from repro.sim.replay import (
-        TraceRecorder,
-        get_recorder,
-        remove_cached_traces,
-        save_recorded_traces,
-    )
+    from repro.sim.replay import TraceRecorder, get_recorder
+    from repro.sim.replay import remove_cached_traces, save_recorded_traces
     from repro.sim.retarget import clear_retargeted, verify_retarget
 
+    target, donor_scale = SCALES[grid["scale"]], SCALES[grid["donor"]]
+    measure_tx = grid["measure_transactions"]
     specs = [
-        dataclasses.replace(spec, trace_donor=BENCH)
-        for spec in sweep_specs(smoke)
+        dataclasses.replace(spec, trace_donor=donor_scale, collect_obs=False)
+        for spec in sweep_specs(grid)
     ]
 
-    # 1. Clean slate: no native TINY trace, live or persisted.
+    # 1. Clean slate: no native target trace, live or persisted.
     clear_recorders()
-    removed = remove_cached_traces(scale=TINY, seed=SEED)
+    removed = remove_cached_traces(scale=target, seed=SEED)
 
     # 2. Seed: one donor recording covers every cell's consumption.
     donor_start = time.perf_counter()
-    donor = get_recorder(BENCH, SEED)
+    donor = get_recorder(donor_scale, SEED)
     seeded = run_cells(specs, jobs=1, fast=True)
     donor_record_seconds = time.perf_counter() - donor_start
-    needed = max(r.warmup_transactions for r in seeded.values()) + MEASURE_TX
+    needed = max(r.warmup_transactions for r in seeded.values()) + measure_tx
     save_recorded_traces()
 
     # 3. The timed claim: remap-only re-derivation, then a replay-served
     # grid that records nothing natively.
     clear_retargeted()
-    prep_start = time.perf_counter()
-    prep = prepare_replay(specs)
-    retarget_prepare_seconds = time.perf_counter() - prep_start
-
-    was_enabled = OBS.enabled
-    OBS.clear()
-    OBS.enable()
-    try:
-        grid_start = time.perf_counter()
-        cells = run_cells(specs, jobs=1, fast=True)
-        grid_wall = time.perf_counter() - grid_start
-        native_recorded = OBS.counter("replay.trace.recorded_transactions").value
-        retargeted_cells = OBS.counter("replay.retarget.cells").value
-    finally:
-        OBS.clear()
-        if not was_enabled:
-            OBS.disable()
+    retarget_prepare_seconds, prep = _timed(lambda: prepare_replay(specs))
+    (grid_wall, cells), (native_recorded, retargeted_cells) = _observed(
+        lambda: _timed(lambda: run_cells(specs, jobs=1, fast=True)),
+        "replay.trace.recorded_transactions", "replay.retarget.cells",
+    )
 
     # 4. Baseline: a fresh native recording of the same transaction span.
-    cold_start = time.perf_counter()
-    TraceRecorder(TINY, SEED, use_cache=False).ensure(needed)
-    cold_record_seconds = time.perf_counter() - cold_start
+    cold_record_seconds, _ = _timed(
+        lambda: TraceRecorder(target, SEED, use_cache=False).ensure(needed)
+    )
 
-    # 5. Two-tier parity evidence (records a native TINY trace to compare
+    # 5. Two-tier parity evidence (records a native target trace to compare
     # against, so it runs outside the timed region).
-    verify = verify_retarget(TINY, BENCH, seed=SEED, transactions=MEASURE_TX)
+    verify = verify_retarget(target, donor_scale, seed=SEED, transactions=measure_tx)
     save_recorded_traces()
 
-    speedup = (
-        round(cold_record_seconds / retarget_prepare_seconds, 2)
-        if retarget_prepare_seconds > 0
-        else None
-    )
     return {
-        "donor_scale": "bench",
-        "target_scale": "tiny",
+        "donor_scale": grid["donor"], "target_scale": grid["scale"],
         "grid_cells": len(specs),
         "native_traces_removed": len(removed),
         "donor_record_seconds": round(donor_record_seconds, 3),
@@ -514,140 +394,121 @@ def run_retarget_pass(jobs: int, smoke: bool) -> dict:
         "native_recorded_transactions": int(native_recorded),
         "retargeted_cells": int(retargeted_cells),
         "cold_record_seconds": round(cold_record_seconds, 3),
-        "speedup_vs_cold_record": speedup,
+        "speedup_vs_cold_record": _ratio(cold_record_seconds, retarget_prepare_seconds, 2),
         "deterministic": _strip_obs(cells) == _strip_obs(seeded),
         "identity_parity": verify["identity_parity"],
         "verify": verify,
     }
 
 
-def retarget_warnings(record: dict) -> list[str]:
-    """Acceptance gates on the retarget pass (``--strict`` fails on any)."""
-    retarget = record.get("retarget")
-    if not retarget:
-        return []
-    warnings = []
-    if retarget["native_recorded_transactions"]:
-        warnings.append(
-            f"retarget grid recorded "
-            f"{retarget['native_recorded_transactions']} native transactions "
-            f"(expected 0: every cell should replay from the donor)"
-        )
-    if not retarget["retargeted_cells"]:
-        warnings.append("retarget pass never served a cell from the donor trace")
-    speedup = retarget.get("speedup_vs_cold_record")
-    if speedup is not None and speedup < MIN_RETARGET_SPEEDUP:
-        warnings.append(
-            f"retarget prepare speedup {speedup}x over cold native recording "
-            f"is below the {MIN_RETARGET_SPEEDUP:.0f}x floor"
-        )
-    if not retarget["identity_parity"]:
-        warnings.append(
-            "identity retarget is NOT bit-identical to direct replay"
-        )
-    if not retarget["verify"]["passed"]:
-        warnings.append(
-            "statistical retarget verification failed (see the embedded "
-            "verify evidence)"
-        )
-    if not retarget["deterministic"]:
-        warnings.append(
-            "retargeted grid results changed between the seeding and timed "
-            "passes"
-        )
-    return warnings
+def run_sweep(grid: dict, jobs: int) -> dict:
+    specs = sweep_specs(grid)
+    # Serial pass, timing each cell individually for the per-cell record.
+    serial_wall, serial_cells, wall_by_key = _per_cell(specs)
+    record = {
+        "cells": cell_rows(serial_cells, wall_by_key),
+        "serial": {
+            "wall_seconds": round(serial_wall, 3),
+            "wall_seconds_per_cell": round(serial_wall / len(specs), 4),
+        },
+        "fast": fast_passes(specs, serial_cells, serial_wall, jobs=jobs),
+    }
+    if jobs > 1:
+        parallel_wall, parallel_cells = _timed(lambda: run_cells(specs, jobs=jobs))
+        record["parallel"] = {
+            "jobs": jobs,
+            "wall_seconds": round(parallel_wall, 3),
+            "wall_seconds_per_cell": round(parallel_wall / len(specs), 4),
+            "speedup_vs_serial": _ratio(serial_wall, parallel_wall),
+        }
+        record["deterministic"] = parallel_cells == serial_cells
+    else:
+        record["deterministic"] = True  # vacuous: single pass
+    record["retarget"] = retarget_pass(grid)
+    return record
 
 
-# -- ablation record ---------------------------------------------------------
+def sweep_checks(record: dict, previous: dict | None) -> list[Gate]:
+    gates = []
+    if previous is not None and previous.get("mode") == record["mode"]:
+        # Wall times compare only between records of the same mode: a
+        # smoke run measures other cells than a full baseline.
+        prev_rate = previous.get("serial", {}).get("wall_seconds_per_cell")
+        if prev_rate:
+            gates.append(check(
+                "serial.wall_seconds_per_cell_vs_previous",
+                record["serial"]["wall_seconds_per_cell"] / prev_rate,
+                "<=", 1 + REGRESSION_TOLERANCE,
+            ))
+        prev_walls = {
+            tuple(row["key"]): row.get("wall_seconds") for row in previous.get("cells", [])
+        }
+        ratios = [
+            row["wall_seconds"] / prev_walls[tuple(row["key"])]
+            for row in record["cells"] if prev_walls.get(tuple(row["key"]))
+        ]
+        if ratios:
+            gates.append(check("cells.wall_seconds_vs_previous_max",
+                               max(ratios), "<=", CELL_REGRESSION_FACTOR))
+    if "shared" in record["fast"]:  # only with --jobs > 1
+        shared = record["fast"]["shared"]
+        gates += [
+            check("fast.shared.parity", shared["parity"], "==", True),
+            check("fast.shared.shared_cells", shared["shared_cells"], ">", 0),
+            check("fast.shared.leaked_segments", shared["leaked_segments"], "==", []),
+        ]
+    if record["mode"] == "full":
+        # The committed baseline must serve its whole grid from the donor.
+        retarget = record["retarget"]
+        gates.append(check("retarget.retargeted_cells_full_grid",
+                           retarget["retargeted_cells"], "==", retarget["grid_cells"]))
+    return gates
 
-#: The dense grid the full ablation record runs: 4 x 2 x 2 x 4 = 64 cells,
-#: every one sharing the single (TINY, SEED) boundary trace.  Axes are
-#: chosen for signal at TINY scale (the 103-page database sits entirely
-#: inside the floor-sized flash cache, so size/eviction knobs are inert
-#: there — those ablations live in benchmarks/bench_ablation_*.py at BENCH
-#: scale).  ``scan_depth`` is kept although flat: a flat curve across an
-#: 8x depth range is the paper's own §3.3 claim.
-ABLATION_AXES = {
-    "policy": ("face", "face+gr", "face+gsc", "lc"),
-    "admission": None,
-    "dram": None,
-    "scan_depth": (16, 32, 64, 128),
-}
-#: CI smoke: a 2-axis, 4-cell grid — same machinery, minutes cheaper.
-SMOKE_ABLATION_AXES = {"admission": None, "sync": None}
-ABLATION_MEASURE_TX = 600
+
+# -- ablation, latency and recovery: AblationStudy grids ---------------------
+
 #: The compressed persisted trace must beat the raw array encoding by at
 #: least this factor (the trace-compression acceptance gate).
 MIN_COMPRESSION_RATIO = 3.0
+#: A policy's knee is the first client count whose throughput gain over the
+#: previous rung falls below this fraction — past it, added clients buy
+#: queueing delay, not throughput.
+KNEE_GAIN_THRESHOLD = 0.10
+LADDER_COLUMNS = ("n_clients", "tps", "tpmc", "p50_ms", "p95_ms", "p99_ms")
+#: FaCE must restart at least this much faster than each baseline at every
+#: interval (observed: 2.0-3.4x vs HDD-only, 1.2-2.9x vs LC).
+MIN_RESTART_SPEEDUP = 1.1
 
 
-def run_ablation_record(jobs: int, smoke: bool) -> dict:
-    """Run the ablation grid via replay; record sensitivities + gates."""
+def _study(grid: dict, jobs: int, axes: dict, **fields):
+    """Run an :class:`AblationStudy` via replay, spot-checking parity."""
     from repro.sim.ablation import AblationStudy, verify_parity
     from repro.sim.experiment import ExperimentConfig
-    from repro.sim.replay import persisted_trace_stats
 
-    base = ExperimentConfig(
-        scale=TINY, seed=SEED, measure_transactions=ABLATION_MEASURE_TX
-    )
-    study = AblationStudy(base, SMOKE_ABLATION_AXES if smoke else ABLATION_AXES)
+    base = ExperimentConfig(scale=SCALES[grid["scale"]], seed=SEED, **fields)
+    study = AblationStudy(base, axes)
     results = study.run(jobs=jobs, fast=True)
-    parity, mismatched = verify_parity(study, results, sample=2 if smoke else 3)
-
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": "smoke" if smoke else "full",
-        **results.to_record(),
-        "replay_parity": parity,
-    }
+    parity, mismatched = verify_parity(study, results, sample=grid["parity_sample"])
+    record = {**results.to_record(), "replay_parity": parity}
     if mismatched:
         record["parity_mismatches"] = [list(key) for key in mismatched]
-    stats = persisted_trace_stats(base.scale, base.seed)
+    return results, record
+
+
+def run_ablation(grid: dict, jobs: int) -> dict:
+    """Run the ablation grid via replay; record sensitivities + trace size."""
+    from repro.sim.replay import persisted_trace_stats
+
+    _, record = _study(
+        grid, jobs, grid["axes"], measure_transactions=grid["measure_transactions"]
+    )
+    stats = persisted_trace_stats(SCALES[grid["scale"]], SEED)
     if stats is not None and stats.get("body_bytes"):
         record["trace"] = {
             **stats,
             "compression_ratio": round(stats["raw_bytes"] / stats["body_bytes"], 2),
         }
     return record
-
-
-def ablation_warnings(record: dict) -> list[str]:
-    warnings = []
-    if not record.get("replay_parity", False):
-        warnings.append(
-            "ablation replay results are NOT bit-identical to full execution"
-        )
-    trace = record.get("trace")
-    if trace is None:
-        warnings.append(
-            "no persisted trace found (REPRO_TRACE_CACHE off?): compression "
-            "ratio not verified"
-        )
-    elif trace["compression_ratio"] < MIN_COMPRESSION_RATIO:
-        warnings.append(
-            f"trace compression ratio {trace['compression_ratio']}x is below "
-            f"the {MIN_COMPRESSION_RATIO}x floor"
-        )
-    return warnings
-
-
-# -- latency record ----------------------------------------------------------
-
-#: The closed-loop service grid: two policies (the paper's protagonist and
-#: its strongest baseline) under a client-count ladder spanning the paper's
-#: 50-client reference setup up to 100x past it, every cell replaying the
-#: single (TINY, SEED) boundary trace.  The measured transaction count must
-#: comfortably exceed the largest client count, or the "ladder" degenerates
-#: into one burst per client.
-LATENCY_POLICIES = ("face+gsc", "lc")
-LATENCY_CLIENTS = (1, 50, 500, 5000)
-SMOKE_LATENCY_CLIENTS = (1, 8)
-LATENCY_MEASURE_TX = 6000
-SMOKE_LATENCY_MEASURE_TX = 400
-#: A policy's knee is the first client count whose throughput gain over the
-#: previous rung falls below this fraction — past it, added clients buy
-#: queueing delay, not throughput.
-KNEE_GAIN_THRESHOLD = 0.10
 
 
 def locate_knee(points: list[tuple[int, float]]) -> int | None:
@@ -663,37 +524,19 @@ def locate_knee(points: list[tuple[int, float]]) -> int | None:
     return None
 
 
-def run_latency_record(jobs: int, smoke: bool) -> dict:
+def run_latency(grid: dict, jobs: int) -> dict:
     """Run the service grid via replay; record latency ladders + knees."""
-    from repro.sim.ablation import AblationStudy, verify_parity
-    from repro.sim.experiment import ExperimentConfig
-
-    clients = SMOKE_LATENCY_CLIENTS if smoke else LATENCY_CLIENTS
-    base = ExperimentConfig(
-        scale=TINY,
-        seed=SEED,
-        scenario="service",
-        measure_transactions=(
-            SMOKE_LATENCY_MEASURE_TX if smoke else LATENCY_MEASURE_TX
-        ),
+    clients = grid["n_clients"]
+    results, record = _study(
+        grid, jobs, {"policy": grid["policy"], "n_clients": clients},
+        scenario="service", measure_transactions=grid["measure_transactions"],
     )
-    study = AblationStudy(
-        base, {"policy": LATENCY_POLICIES, "n_clients": clients}
-    )
-    results = study.run(jobs=jobs, fast=True)
-    parity, mismatched = verify_parity(study, results, sample=1 if smoke else 2)
-
-    ladders = {}
-    knees = {}
-    for policy in LATENCY_POLICIES:
-        points = [
-            (n, results.cells[(policy, n)].tps) for n in clients
-        ]
+    ladders, knees = {}, {}
+    for policy in grid["policy"]:
+        points = [(n, results.cells[(policy, n)].tps) for n in clients]
         ladders[policy] = [
             {
-                "n_clients": n,
-                "tps": round(r.tps, 2),
-                "tpmc": round(r.tpmc, 2),
+                "n_clients": n, "tps": round(r.tps, 2), "tpmc": round(r.tpmc, 2),
                 "p50_ms": round(r.p50_seconds * 1000.0, 4),
                 "p95_ms": round(r.p95_seconds * 1000.0, 4),
                 "p99_ms": round(r.p99_seconds * 1000.0, 4),
@@ -702,137 +545,127 @@ def run_latency_record(jobs: int, smoke: bool) -> dict:
             for r in (results.cells[(policy, n)],)
         ]
         knees[policy] = locate_knee(points)
-
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": "smoke" if smoke else "full",
-        **results.to_record(),
-        "replay_parity": parity,
-        "clients": list(clients),
-        "ladders": ladders,
-        "knees": knees,
-    }
-    if mismatched:
-        record["parity_mismatches"] = [list(key) for key in mismatched]
-    return record
+    return {**record, "clients": list(clients), "ladders": ladders, "knees": knees}
 
 
-def latency_warnings(record: dict) -> list[str]:
-    warnings = []
-    if not record.get("replay_parity", False):
-        warnings.append(
-            "service replay results are NOT bit-identical to full execution"
-        )
-    for cell in record.get("cells", []):
-        if not cell["p50_ms"] <= cell["p95_ms"] <= cell["p99_ms"]:
-            warnings.append(
-                f"cell {cell['key']} has non-monotone percentiles: "
-                f"p50 {cell['p50_ms']}ms p95 {cell['p95_ms']}ms "
-                f"p99 {cell['p99_ms']}ms"
-            )
-    if record.get("mode") == "full":
+def latency_checks(record: dict, previous: dict | None) -> list[Gate]:
+    clients, ladders = record["clients"], record["ladders"]
+    rows = record["cells"] + [
+        {**rung, "key": [policy, rung["n_clients"]]}
+        for policy, ladder in ladders.items() for rung in ladder
+    ]
+    gates = [
+        check("clients.count", len(clients), ">=", 2),
+        check("ladders.incomplete", sorted(
+            policy for policy, ladder in ladders.items()
+            if len(ladder) != len(clients)
+            or any(set(LADDER_COLUMNS) - set(rung) for rung in ladder)
+        ), "==", []),
+        check("percentiles.non_monotone", [
+            row["key"] for row in rows
+            if not row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
+        ], "==", []),
+    ]
+    if record["mode"] == "full":
         # The full ladder reaches 100x past each policy's knee; a missing
         # knee means throughput never saturated — the model is broken.
-        for policy, knee in record.get("knees", {}).items():
-            if knee is None:
-                warnings.append(
-                    f"policy {policy} never saturated across "
-                    f"{record['clients']} clients (no knee located)"
-                )
-    return warnings
+        gates.append(check("knees.missing", sorted(
+            policy for policy, knee in record["knees"].items() if knee is None
+        ), "==", []))
+    return gates
 
 
-# -- scan-resistance record --------------------------------------------------
+def run_recovery(grid: dict, jobs: int) -> dict:
+    """Run the crash grid via replay; record restart reports + speedups."""
+    policies, intervals = grid["policy"], grid["checkpoint_interval"]
+    results, record = _study(
+        grid, jobs, {"policy": policies, "checkpoint_interval": intervals},
+        cache_fraction=grid["cache_fraction"],
+        scenario="crash",
+        checkpoint_interval=intervals[0],
+        crash_max_transactions=grid["crash_max_transactions"],
+    )
+    face, *baselines = policies
+    speedups = []
+    for interval in intervals:
+        restart = {
+            policy: results.cells[(policy, interval)].restart_seconds
+            for policy in policies
+        }
+        speedups.append({
+            "checkpoint_interval": interval,
+            "restart_seconds": {
+                policy: round(seconds, 6) for policy, seconds in restart.items()
+            },
+            "face_speedup_vs": {
+                policy: round(restart[policy] / restart[face], 3)
+                for policy in baselines
+            },
+        })
+    return {**record, "speedups": speedups}
 
-#: The scan-resistance grid (paper §3.3): the ``tpch-scan`` registry
-#: workload under two mixes — pure sequential scans and the HTAP
-#: probe/update preset — over the paper's protagonist (mvFIFO+GSC), the
-#: pure-recency strawman it argues against (LRU-2), and LC.  A long scan
-#: floods any recency-ranked flash cache with single-touch pages; the
-#: multi-version FIFO admission queue plus GSC's reference bits keep the
-#: re-visited working set resident instead.
-SCAN_POLICIES = ("face+gsc", "lru2", "lc")
-#: CI smoke drops the LC baseline (the gates compare GSC against LRU-2)
-#: but keeps the full measurement window: a shorter window stops before
-#: LRU-2's scan-cannibalisation reaches steady state and the §3.3 gate
-#: would measure the transient, not the claim.
-SMOKE_SCAN_POLICIES = ("face+gsc", "lru2")
-#: Mix name -> preset for :func:`repro.workload.registry.workload_spec`.
-SCAN_MIXES = {"pure-scan": None, "htap": "htap"}
-SCAN_MEASURE_TX = 400
-SCAN_WARMUP = dict(warmup_min=60, warmup_max=800)
-SCAN_CACHE_FRACTION = 0.08
+
+def recovery_checks(record: dict, previous: dict | None) -> list[Gate]:
+    speedups = [speedup for entry in record["speedups"]
+                for speedup in entry["face_speedup_vs"].values()]
+    return [check("face_speedup_vs_baselines_min", min(speedups, default=None),
+                  ">=", MIN_RESTART_SPEEDUP)]
 
 
-def scan_specs(smoke: bool) -> list[CellSpec]:
+# -- scan resistance ---------------------------------------------------------
+
+
+def scan_specs(grid: dict) -> list[CellSpec]:
     from repro.workload.registry import estimate_workload_pages, workload_spec
 
-    policies = SMOKE_SCAN_POLICIES if smoke else SCAN_POLICIES
+    scale = SCALES[grid["scale"]]
     specs = []
-    for mix, preset in SCAN_MIXES.items():
+    for mix, preset in grid["mix"].items():
         spec_w = workload_spec("tpch-scan", preset=preset)
-        db_pages = estimate_workload_pages(spec_w, TINY)
-        for policy in policies:
+        db_pages = estimate_workload_pages(spec_w, scale)
+        for policy in grid["policy"]:
             specs.append(CellSpec(
                 key=(mix, policy),
                 config=scaled_reference_config(
-                    db_pages,
-                    cache_fraction=SCAN_CACHE_FRACTION,
+                    db_pages, cache_fraction=grid["cache_fraction"],
                     policy=CachePolicy(policy),
                 ),
-                scale=TINY,
-                seed=SEED,
-                workload=spec_w.name,
-                workload_knobs=spec_w.knobs,
-                measure_transactions=SCAN_MEASURE_TX,
-                **SCAN_WARMUP,
+                scale=scale, seed=SEED,
+                workload=spec_w.name, workload_knobs=spec_w.knobs,
+                measure_transactions=grid["measure_transactions"],
+                warmup_min=grid["warmup_min"], warmup_max=grid["warmup_max"],
             ))
     return specs
 
 
-def run_scan_record(jobs: int, smoke: bool) -> dict:
+def run_scan(grid: dict, jobs: int) -> dict:
     """Run the scan grid via replay; record hit ratios + the §3.3 gate.
 
-    Three passes:
-
     1. seed — a fast grid pass from a clean slate records one native
-       ``tpch-scan`` boundary trace per mix (the non-tpcc workloads always
-       record natively: cross-scale retargeting is tpcc-only);
-    2. the timed claim — the same grid replayed with observability on,
-       asserting **zero** natively recorded transactions: every workload
-       rides the trace-replay fast path, not just TPC-C;
+       ``tpch-scan`` boundary trace per mix (cross-scale retargeting is
+       tpcc-only);
+    2. the timed claim — the same grid replayed with observability on:
+       **zero** natively recorded transactions;
     3. parity evidence — one cell per mix re-run as full execution and
        compared bit-for-bit against the replayed results.
     """
-    import dataclasses
-
     from repro.sim.parallel import run_cell
 
-    specs = scan_specs(smoke)
+    specs = scan_specs(grid)
 
     # 1. Seed: records each mix's trace once, then serves its siblings.
     clear_recorders()
-    seed_start = time.perf_counter()
-    seeded = run_cells(specs, jobs=1, fast=True)
-    seed_wall = time.perf_counter() - seed_start
+    seed_wall, seeded = _timed(lambda: run_cells(specs, jobs=1, fast=True))
 
     # 2. Timed replay pass: nothing may record natively now.
-    was_enabled = OBS.enabled
-    OBS.clear()
-    OBS.enable()
-    try:
-        replay_start = time.perf_counter()
-        cells = run_cells(specs, jobs=1, fast=True)
-        replay_wall = time.perf_counter() - replay_start
-        native_recorded = OBS.counter("replay.trace.recorded_transactions").value
-    finally:
-        OBS.clear()
-        if not was_enabled:
-            OBS.disable()
+    (replay_wall, cells), (native_recorded,) = _observed(
+        lambda: _timed(lambda: run_cells(specs, jobs=1, fast=True)),
+        "replay.trace.recorded_transactions",
+    )
 
     # 3. Parity: one full-execution cell per mix (the GSC protagonist).
     parity = _strip_obs(cells) == _strip_obs(seeded)
-    for mix in SCAN_MIXES:
+    for mix in grid["mix"]:
         spec = next(s for s in specs if s.key == (mix, "face+gsc"))
         full = run_cell(spec)
         parity = parity and (
@@ -840,26 +673,23 @@ def run_scan_record(jobs: int, smoke: bool) -> dict:
             == dataclasses.replace(cells[spec.key], obs=None)
         )
 
-    rows = [
-        {
-            "key": list(key),
-            "flash_hit_rate": round(result.flash_hit_rate, 6),
-            "tpmc": round(result.tpmc, 2),
-            "transactions": result.transactions,
-        }
-        for key, result in cells.items()
-    ]
     hit = {key: cells[key].flash_hit_rate for key in cells}
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": "smoke" if smoke else "full",
         "workload": "tpch-scan",
         "mixes": {
             mix: (f"preset {preset!r}" if preset else "default knobs")
-            for mix, preset in SCAN_MIXES.items()
+            for mix, preset in grid["mix"].items()
         },
         "n_cells": len(specs),
-        "cells": rows,
+        "cells": [
+            {
+                "key": list(key),
+                "flash_hit_rate": round(result.flash_hit_rate, 6),
+                "tpmc": round(result.tpmc, 2),
+                "transactions": result.transactions,
+            }
+            for key, result in cells.items()
+        ],
         "seed_wall_seconds": round(seed_wall, 3),
         "replay_wall_seconds": round(replay_wall, 3),
         "native_recorded_transactions": int(native_recorded),
@@ -870,131 +700,29 @@ def run_scan_record(jobs: int, smoke: bool) -> dict:
                 "lru2_flash_hit_rate": round(hit[(mix, "lru2")], 6),
                 "gsc_beats_lru2": hit[(mix, "face+gsc")] > hit[(mix, "lru2")],
             }
-            for mix in SCAN_MIXES
+            for mix in grid["mix"]
         },
     }
 
 
-def scan_warnings(record: dict) -> list[str]:
-    """Acceptance gates on the scan record (``--strict`` fails on any)."""
-    warnings = []
-    if not record.get("replay_parity", False):
-        warnings.append(
-            "scan replay results are NOT bit-identical to full execution"
-        )
-    if record.get("native_recorded_transactions"):
-        warnings.append(
-            f"scan replay pass recorded "
-            f"{record['native_recorded_transactions']} native transactions "
-            f"(expected 0: every mix should replay its seeded trace)"
-        )
-    gate = record.get("scan_resistance", {}).get("pure-scan", {})
-    if not gate.get("gsc_beats_lru2", False):
-        warnings.append(
-            f"GSC pure-scan flash hit ratio "
-            f"{gate.get('gsc_flash_hit_rate')} does not beat LRU-2's "
-            f"{gate.get('lru2_flash_hit_rate')} (the §3.3 scan-resistance "
-            f"claim)"
-        )
-    return warnings
+def scan_checks(record: dict, previous: dict | None) -> list[Gate]:
+    return [
+        check("cells.count", len(record["cells"]), "==", record["n_cells"]),
+        check("scan_resistance.mixes", sorted(record["scan_resistance"]),
+              "==", ["htap", "pure-scan"]),
+    ]
 
 
-# -- recovery record ---------------------------------------------------------
-
-#: The crash/restart grid: every cell shares one (BENCH, SEED) boundary
-#: trace, truncated at each cell's kill point.  BENCH scale, not TINY: a
-#: TINY restart fetches only ~15 pages during redo, so the flash-vs-disk
-#: read gap that Table 6 measures drowns in checkpoint-phase noise there.
-RECOVERY_POLICIES = ("face+gsc", "lc", "hdd-only")
-RECOVERY_INTERVALS = (1.0, 2.0, 3.0)
-SMOKE_RECOVERY_INTERVALS = (1.0,)
-RECOVERY_CACHE_FRACTION = 0.08  # the paper's 4 GB / ~50 GB working ratio
-RECOVERY_MAX_TX = 20_000
-#: FaCE must restart at least this much faster than each baseline at every
-#: interval (observed: 2.0-3.4x vs HDD-only, 1.2-2.9x vs LC).
-MIN_RESTART_SPEEDUP = 1.1
-
-
-def run_recovery_record(jobs: int, smoke: bool) -> dict:
-    """Run the crash grid via replay; record restart reports + speedups."""
-    from repro.sim.ablation import AblationStudy, verify_parity
-    from repro.sim.experiment import ExperimentConfig
-
-    intervals = SMOKE_RECOVERY_INTERVALS if smoke else RECOVERY_INTERVALS
-    base = ExperimentConfig(
-        scale=BENCH,
-        seed=SEED,
-        cache_fraction=RECOVERY_CACHE_FRACTION,
-        scenario="crash",
-        checkpoint_interval=intervals[0],
-        crash_max_transactions=RECOVERY_MAX_TX,
-    )
-    study = AblationStudy(
-        base,
-        {"policy": RECOVERY_POLICIES, "checkpoint_interval": intervals},
-    )
-    results = study.run(jobs=jobs, fast=True)
-    parity, mismatched = verify_parity(study, results, sample=1 if smoke else 2)
-
-    face, *baselines = RECOVERY_POLICIES
-    speedups = []
-    for interval in intervals:
-        face_restart = results.cells[(face, interval)].restart_seconds
-        speedups.append({
-            "checkpoint_interval": interval,
-            "restart_seconds": {
-                policy: round(results.cells[(policy, interval)].restart_seconds, 6)
-                for policy in RECOVERY_POLICIES
-            },
-            "face_speedup_vs": {
-                policy: round(
-                    results.cells[(policy, interval)].restart_seconds
-                    / face_restart,
-                    3,
-                )
-                for policy in baselines
-            },
-        })
-
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": "smoke" if smoke else "full",
-        **results.to_record(),
-        "replay_parity": parity,
-        "speedups": speedups,
-    }
-    if mismatched:
-        record["parity_mismatches"] = [list(key) for key in mismatched]
-    return record
-
-
-def recovery_warnings(record: dict) -> list[str]:
-    warnings = []
-    if not record.get("replay_parity", False):
-        warnings.append(
-            "recovery replay results are NOT bit-identical to full execution"
-        )
-    for entry in record.get("speedups", []):
-        for policy, speedup in entry["face_speedup_vs"].items():
-            if speedup < MIN_RESTART_SPEEDUP:
-                warnings.append(
-                    f"FaCE restart speedup vs {policy} at interval "
-                    f"{entry['checkpoint_interval']} is {speedup}x "
-                    f"(< {MIN_RESTART_SPEEDUP}x floor)"
-                )
-    return warnings
-
+# -- storage -----------------------------------------------------------------
 
 #: Persistent page-store backends may cost real (harness) time — every
 #: page put/get crosses an encode/decode + file boundary — but must never
 #: change simulated results.  The overhead gate is deliberately loose
 #: (shared-runner noise; the parity gate is the load-bearing one).
 MAX_STORAGE_OVERHEAD = 50.0
-STORAGE_MEASURE_TX = 1000
-SMOKE_STORAGE_MEASURE_TX = 300
 
 
-def run_storage_record(jobs: int, smoke: bool) -> dict:
+def run_storage(grid: dict, jobs: int) -> dict:
     """Time one identical cell per page-store backend; gate replay parity.
 
     The memory pass runs first and untimed once so that the per-process
@@ -1002,29 +730,20 @@ def run_storage_record(jobs: int, smoke: bool) -> dict:
     otherwise whichever backend goes first would be charged the one-time
     workload load.
     """
-    import dataclasses
-
     from repro.sim.experiment import ExperimentConfig
     from repro.storage.registry import available_backends
 
-    scale = TINY if smoke else BENCH
-    transactions = SMOKE_STORAGE_MEASURE_TX if smoke else STORAGE_MEASURE_TX
-
     def run_backend(backend: str):
         config = ExperimentConfig(
-            scale=scale,
-            seed=SEED,
-            measure_transactions=transactions,
-            page_store=backend,
+            scale=SCALES[grid["scale"]], seed=SEED, page_store=backend,
+            measure_transactions=grid["measure_transactions"],
         )
         spec = CellSpec.from_config((backend,), config)
-        start = time.perf_counter()
-        result = run_cells([spec], jobs=1)[(backend,)]
-        return time.perf_counter() - start, result
+        wall, cells = _timed(lambda: run_cells([spec], jobs=1))
+        return wall, cells[(backend,)]
 
     run_backend("memory")  # warm the load snapshot, discard the timing
-    walls: dict[str, float] = {}
-    results = {}
+    walls, results = {}, {}
     for backend in available_backends():
         walls[backend], results[backend] = run_backend(backend)
 
@@ -1032,21 +751,14 @@ def run_storage_record(jobs: int, smoke: bool) -> dict:
         return dataclasses.replace(result, name="", obs=None)
 
     reference = strip(results["memory"])
-    parity = {
-        backend: strip(result) == reference
-        for backend, result in results.items()
-    }
+    parity = {name: strip(result) == reference for name, result in results.items()}
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": "smoke" if smoke else "full",
-        "scale": "tiny" if smoke else "bench",
-        "transactions": transactions,
+        "scale": grid["scale"],
+        "transactions": grid["measure_transactions"],
         "backends": {
             backend: {
                 "wall_seconds": round(walls[backend], 3),
-                "overhead_vs_memory": round(
-                    walls[backend] / walls["memory"], 3
-                ),
+                "overhead_vs_memory": round(walls[backend] / walls["memory"], 3),
                 "tpmc": round(results[backend].tpmc, 3),
                 "flash_hit_rate": round(results[backend].flash_hit_rate, 6),
                 "parity_with_memory": parity[backend],
@@ -1057,230 +769,231 @@ def run_storage_record(jobs: int, smoke: bool) -> dict:
     }
 
 
-def storage_warnings(record: dict) -> list[str]:
-    warnings = []
-    if not record.get("replay_parity", False):
-        divergent = [
-            name
-            for name, cell in record.get("backends", {}).items()
-            if not cell.get("parity_with_memory", False)
-        ]
-        warnings.append(
-            "page-store backends are NOT bit-identical to memory: "
-            + ", ".join(divergent)
-        )
-    for name, cell in record.get("backends", {}).items():
-        if cell["overhead_vs_memory"] > MAX_STORAGE_OVERHEAD:
-            warnings.append(
-                f"backend {name} harness overhead "
-                f"{cell['overhead_vs_memory']}x vs memory "
-                f"(> {MAX_STORAGE_OVERHEAD}x ceiling)"
-            )
-    return warnings
+def storage_checks(record: dict, previous: dict | None) -> list[Gate]:
+    backends = record["backends"]
+    gates = [
+        check("backends.divergent_from_memory", sorted(
+            name for name, cell in backends.items() if not cell["parity_with_memory"]
+        ), "==", []),
+        check("backends.overhead_vs_memory_max", max(
+            (cell["overhead_vs_memory"] for cell in backends.values()), default=None
+        ), "<=", MAX_STORAGE_OVERHEAD),
+        check("backends.distinct_tpmc",
+              len({cell["tpmc"] for cell in backends.values()}), "==", 1),
+    ]
+    if record["mode"] == "full":
+        gates.append(check("backends", sorted(backends), "==",
+                           ["memory", "mmap", "sqlite"]))
+    return gates
+
+
+# -- the spec table ----------------------------------------------------------
+
+PARITY = ("replay_parity", "==", True)
+
+SPECS: dict[str, Spec] = {
+    "sweep": Spec(
+        grid={
+            "scale": "tiny", "donor": "bench",
+            "policy": ("lc", "face", "face+gr", "face+gsc"),
+            "cache_fraction": (0.08, 0.16),
+            "measure_transactions": 1500, "collect_obs": False,
+        },
+        smoke={"policy": ("lc",)},
+        run=run_sweep,
+        schema={
+            "": ("cells", "serial", "fast", "deterministic", "retarget"),
+            "retarget": (
+                "donor_scale", "target_scale", "grid_cells", "donor_record_seconds",
+                "retarget_prepare_seconds", "remap_seconds", "grid_wall_seconds",
+                "native_recorded_transactions", "retargeted_cells",
+                "cold_record_seconds", "speedup_vs_cold_record", "deterministic",
+                "identity_parity", "verify",
+            ),
+        },
+        rules=(
+            ("deterministic", "==", True), ("fast.parity", "==", True),
+            ("fast.speedup_warm_vs_serial", ">=", MIN_WARM_FAST_SPEEDUP),
+            ("retarget.native_recorded_transactions", "==", 0),
+            ("retarget.retargeted_cells", ">", 0),
+            ("retarget.speedup_vs_cold_record", ">=", MIN_RETARGET_SPEEDUP),
+            ("retarget.identity_parity", "==", True),
+            ("retarget.verify.passed", "==", True), ("retarget.deterministic", "==", True),
+        ),
+        checks=sweep_checks,
+    ),
+    # Axes are chosen for signal at TINY scale (the 103-page database sits
+    # entirely inside the floor-sized flash cache, so size/eviction knobs
+    # are inert there — those ablations live in benchmarks/bench_ablation_*.py
+    # at BENCH scale).  ``scan_depth`` is kept although flat: a flat curve
+    # across an 8x depth range is the paper's own §3.3 claim.
+    "ablation": Spec(
+        grid={
+            "scale": "tiny",
+            "axes": {"policy": ("face", "face+gr", "face+gsc", "lc"), "admission": None,
+                     "dram": None, "scan_depth": (16, 32, 64, 128)},
+            "measure_transactions": 600, "parity_sample": 3,
+        },
+        smoke={"axes": {"admission": None, "sync": None}, "parity_sample": 2},
+        run=run_ablation,
+        schema={"": ("axes", "n_cells", "cells", "sensitivity", "replay_parity")},
+        # No persisted trace (REPRO_TRACE_CACHE off) leaves the ratio
+        # unverified, which fails the gate.
+        rules=(PARITY, ("trace.compression_ratio", ">=", MIN_COMPRESSION_RATIO)),
+    ),
+    # The paper's protagonist and its strongest baseline under a client
+    # ladder from the paper's 50-client setup to 100x past it.  The measured
+    # transaction count must comfortably exceed the largest client count.
+    "latency": Spec(
+        grid={
+            "scale": "tiny", "policy": ("face+gsc", "lc"),
+            "n_clients": (1, 50, 500, 5000),
+            "measure_transactions": 6000, "parity_sample": 2,
+        },
+        smoke={"n_clients": (1, 8), "measure_transactions": 400, "parity_sample": 1},
+        run=run_latency,
+        schema={
+            "": ("cells", "ladders", "knees", "clients", "replay_parity"),
+            "cells[]": ("key", "p50_ms", "p95_ms", "p99_ms"),
+        },
+        rules=(PARITY,),
+        checks=latency_checks,
+    ),
+    # A long scan floods any recency-ranked flash cache with single-touch
+    # pages; mvFIFO admission plus GSC's reference bits keep the re-visited
+    # working set resident.  The smoke drops LC (the gates compare GSC with
+    # LRU-2) but keeps the full window: a shorter one stops before LRU-2's
+    # scan-cannibalisation reaches steady state.
+    "scan": Spec(
+        grid={
+            "scale": "tiny", "policy": ("face+gsc", "lru2", "lc"),
+            "mix": {"pure-scan": None, "htap": "htap"},
+            "cache_fraction": 0.08, "measure_transactions": 400,
+            "warmup_min": 60, "warmup_max": 800,
+        },
+        smoke={"policy": ("face+gsc", "lru2")},
+        run=run_scan,
+        schema={
+            "": ("workload", "mixes", "n_cells", "cells",
+                 "native_recorded_transactions", "replay_parity", "scan_resistance"),
+            "cells[]": ("key", "flash_hit_rate", "tpmc", "transactions"),
+        },
+        rules=(
+            ("workload", "==", "tpch-scan"), PARITY,
+            ("native_recorded_transactions", "==", 0),
+            ("scan_resistance.pure-scan.gsc_beats_lru2", "==", True),
+        ),
+        full_only=(
+            ("n_cells", "==", 6), ("scan_resistance.htap.gsc_beats_lru2", "==", True)
+        ),
+        checks=scan_checks,
+    ),
+    # BENCH scale, not TINY: a TINY restart fetches only ~15 pages during
+    # redo, so the flash-vs-disk read gap Table 6 measures drowns in
+    # checkpoint-phase noise there.  Every cell shares one boundary trace,
+    # truncated at its kill point; 0.08 is the paper's 4 GB / ~50 GB ratio.
+    "recovery": Spec(
+        grid={
+            "scale": "bench", "policy": ("face+gsc", "lc", "hdd-only"),
+            "checkpoint_interval": (1.0, 2.0, 3.0),
+            "cache_fraction": 0.08, "crash_max_transactions": 20_000,
+            "parity_sample": 2,
+        },
+        smoke={"checkpoint_interval": (1.0,), "parity_sample": 1},
+        run=run_recovery,
+        schema={"": ("cells", "replay_parity", "speedups")},
+        rules=(PARITY,),
+        checks=recovery_checks,
+    ),
+    "storage": Spec(
+        grid={"scale": "bench", "measure_transactions": 1000},
+        smoke={"scale": "tiny", "measure_transactions": 300},
+        run=run_storage,
+        schema={
+            "": ("scale", "transactions", "backends", "replay_parity"),
+            "backends{}": ("wall_seconds", "overhead_vs_memory", "tpmc",
+                           "flash_hit_rate", "parity_with_memory"),
+        },
+        rules=(PARITY,),
+        checks=storage_checks,
+    ),
+}
+
+
+# -- runner ------------------------------------------------------------------
+
+
+def provenance(scale: str) -> dict:
+    """What produced a record: commit, interpreter, extras, cores, scale."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=BENCH_DIR, capture_output=True, text=True, check=True,
+        ).stdout.strip() or None
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "commit": commit, "python": platform.python_version(),
+        "numpy": importlib.util.find_spec("numpy") is not None,
+        "cores": os.cpu_count(), "scale": scale,
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("spec", nargs="?", default="sweep", choices=list(SPECS),
+                        help="which record to measure (default: sweep)")
+    parser.add_argument("--jobs", type=int, default=2,
+                        help="worker processes for the grid passes (1 skips "
+                             "the sweep's parallel and shared-memory passes)")
+    parser.add_argument("--smoke", action="store_true",
+                        help="the CI-sized grid instead of the full one")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit non-zero when any gate fails")
+    parser.add_argument("--obs", action="store_true",
+                        help="sweep only: record a per-cell observability "
+                             "counter extract")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="record file (default: benchmarks/BENCH_<spec>.json)")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="parallel pass worker count (1 skips it)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="2-cell CI smoke instead of the full sweep")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero on regression warnings")
-    parser.add_argument("--obs", action="store_true",
-                        help="collect per-cell observability snapshots and "
-                             "record a counter extract per cell")
-    parser.add_argument("--fast", action="store_true",
-                        help="also time the trace-replay fast path (cold + "
-                             "warm) against the full serial pass and check "
-                             "bit-identical parity")
-    parser.add_argument("--retarget", action="store_true",
-                        help="also run the cross-scale retarget pass: drive "
-                             "the whole grid from one BENCH donor recording, "
-                             "gate the remap-vs-cold-record speedup and both "
-                             "parity tiers, and embed the verify evidence")
-    parser.add_argument("--ablation", action="store_true",
-                        help="record the replay-driven ablation grid to "
-                             "BENCH_ablation.json instead of the sweep")
-    parser.add_argument("--recovery", action="store_true",
-                        help="record the crash/restart grid to "
-                             "BENCH_recovery.json instead of the sweep")
-    parser.add_argument("--latency", action="store_true",
-                        help="record the closed-loop service grid "
-                             "(throughput + tail latency vs client count) "
-                             "to BENCH_latency.json instead of the sweep")
-    parser.add_argument("--scan", action="store_true",
-                        help="record the scan-resistance grid (tpch-scan "
-                             "workload over {face+gsc, lru2, lc}) to "
-                             "BENCH_scan.json instead of the sweep")
-    parser.add_argument("--storage", action="store_true",
-                        help="record the page-store backend pass (one "
-                             "identical cell per backend: replay parity + "
-                             "harness overhead) to BENCH_storage.json "
-                             "instead of the sweep")
-    parser.add_argument("--output", type=Path, default=None)
+    parser = build_parser()
     args = parser.parse_args(argv)
-    exclusive = [
-        name for name, on in
-        (("--ablation", args.ablation), ("--recovery", args.recovery),
-         ("--latency", args.latency), ("--scan", args.scan),
-         ("--storage", args.storage))
-        if on
-    ]
-    if len(exclusive) > 1:
-        parser.error(f"{' and '.join(exclusive)} are mutually exclusive")
-    if args.storage:
-        default_output = STORAGE_RECORD_PATH
-    elif args.recovery:
-        default_output = RECOVERY_RECORD_PATH
-    elif args.ablation:
-        default_output = ABLATION_RECORD_PATH
-    elif args.latency:
-        default_output = LATENCY_RECORD_PATH
-    elif args.scan:
-        default_output = SCAN_RECORD_PATH
-    else:
-        default_output = RECORD_PATH
-    output = args.output or default_output
-
-    existing = {}
-    if output.exists():
-        existing = json.loads(output.read_text())
+    spec = SPECS[args.spec]
+    if args.obs and "collect_obs" not in spec.grid:
+        parser.error(f"--obs applies to the sweep spec, not {args.spec!r}")
+    output = args.output or BENCH_DIR / f"BENCH_{args.spec}.json"
+    existing = json.loads(output.read_text()) if output.exists() else {}
     previous = existing.get("latest")
 
-    if args.storage:
-        record = run_storage_record(args.jobs, args.smoke)
-        warnings = storage_warnings(record)
-    elif args.recovery:
-        record = run_recovery_record(args.jobs, args.smoke)
-        warnings = recovery_warnings(record)
-    elif args.ablation:
-        record = run_ablation_record(args.jobs, args.smoke)
-        warnings = ablation_warnings(record)
-    elif args.latency:
-        record = run_latency_record(args.jobs, args.smoke)
-        warnings = latency_warnings(record)
-    elif args.scan:
-        record = run_scan_record(args.jobs, args.smoke)
-        warnings = scan_warnings(record)
-    else:
-        record = run_record(args.jobs, args.smoke, collect_obs=args.obs,
-                            fast=args.fast)
-        if args.retarget:
-            record["retarget"] = run_retarget_pass(args.jobs, args.smoke)
-        warnings = (
-            compare_with_previous(record, previous)
-            + fast_gate_warnings(record)
-            + retarget_warnings(record)
-        )
+    grid = {**spec.grid, **(spec.smoke if args.smoke else {})}
+    if args.obs:
+        grid["collect_obs"] = True
+    payload = spec.run(grid, args.jobs)
+    # Round-trip through JSON so the gates see exactly what is stored.
+    record = json.loads(json.dumps({
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "mode": "smoke" if args.smoke else "full",
+        **payload,
+        "spec": args.spec,
+        "provenance": provenance(grid["scale"]),
+    }))
+    gates = spec.gates(record, previous)
+    record["gates"] = [dataclasses.asdict(gate) for gate in gates]
 
     history = existing.get("history", [])
     if previous is not None:
         history = (history + [previous])[-HISTORY_LIMIT:]
-    output.write_text(
-        json.dumps({"latest": record, "history": history}, indent=2) + "\n"
-    )
+    output.write_text(json.dumps({"latest": record, "history": history}, indent=2) + "\n")
 
-    if args.storage:
-        print(f"wrote {output}")
-        print(f"  mode: {record['mode']}  scale: {record['scale']}  "
-              f"tx/cell: {record['transactions']}  "
-              f"parity: {record['replay_parity']}")
-        for backend, cell in record["backends"].items():
-            print(f"  {backend}: {cell['wall_seconds']}s "
-                  f"({cell['overhead_vs_memory']}x vs memory)  "
-                  f"tpmC {cell['tpmc']:,.0f}  "
-                  f"parity {cell['parity_with_memory']}")
-        for warning in warnings:
-            print(f"WARNING: {warning}", file=sys.stderr)
-        return 1 if (warnings and args.strict) else 0
-
-    if args.scan:
-        print(f"wrote {output}")
-        print(f"  cells: {record['n_cells']}  mode: {record['mode']}  "
-              f"workload: {record['workload']}")
-        print(f"  seed pass: {record['seed_wall_seconds']}s  replay pass: "
-              f"{record['replay_wall_seconds']}s  native tx recorded: "
-              f"{record['native_recorded_transactions']}  "
-              f"parity: {record['replay_parity']}")
-        for mix, gate in record["scan_resistance"].items():
-            verdict = "beats" if gate["gsc_beats_lru2"] else "DOES NOT beat"
-            print(f"  {mix}: GSC flash hit {gate['gsc_flash_hit_rate']} "
-                  f"{verdict} LRU-2 {gate['lru2_flash_hit_rate']}")
-        for warning in warnings:
-            print(f"WARNING: {warning}", file=sys.stderr)
-        return 1 if (warnings and args.strict) else 0
-
-    if args.ablation or args.recovery or args.latency:
-        print(f"wrote {output}")
-        print(f"  cells: {record['n_cells']}  mode: {record['mode']}  "
-              f"axes: {' x '.join(record['axes'])}")
-        print(f"  wall: {record['wall_seconds']}s "
-              f"({record['wall_seconds_per_cell']}s/cell)  "
-              f"parity: {record['replay_parity']}")
-        if "trace" in record:
-            t = record["trace"]
-            print(f"  trace: {t['raw_bytes']} raw -> {t['body_bytes']} "
-                  f"compressed ({t['compression_ratio']}x)")
-        for policy, ladder in record.get("ladders", {}).items():
-            knee = record["knees"].get(policy)
-            rungs = "  ".join(
-                f"{r['n_clients']}cl {r['tps']:,.0f}tps p95 {r['p95_ms']:.1f}ms"
-                for r in ladder
-            )
-            print(f"  {policy}: {rungs}  "
-                  f"knee: {knee if knee is not None else 'beyond range'}")
-        for entry in record.get("speedups", []):
-            vs = "  ".join(
-                f"{speedup}x vs {policy}"
-                for policy, speedup in entry["face_speedup_vs"].items()
-            )
-            print(f"  interval {entry['checkpoint_interval']}: "
-                  f"FaCE restart {vs}")
-        for warning in warnings:
-            print(f"WARNING: {warning}", file=sys.stderr)
-        return 1 if (warnings and args.strict) else 0
-
-    print(f"wrote {output}")
-    print(f"  cells: {len(record['cells'])}  mode: {record['mode']}")
-    print(f"  serial: {record['serial']['wall_seconds']}s "
-          f"({record['serial']['wall_seconds_per_cell']}s/cell)")
-    if "fast" in record:
-        f = record["fast"]
-        print(f"  fast cold: {f['cold_wall_seconds']}s "
-              f"(speedup {f['speedup_cold_vs_serial']}x)  "
-              f"warm: {f['warm_wall_seconds']}s "
-              f"(speedup {f['speedup_warm_vs_serial']}x)  "
-              f"parity: {f['parity']}")
-        if "prepare" in f:
-            print(f"  prepare (one-time load + decode): {f['prepare']['seconds']}s "
-                  f"across {len(f['prepare']['groups'])} trace group(s); "
-                  f"retarget remap: {f['prepare']['retarget_seconds']}s")
-        if "shared" in f:
-            s = f["shared"]
-            print(f"  shared (jobs={s['jobs']}): {s['wall_seconds']}s  "
-                  f"cells via /dev/shm: {s['shared_cells']}  "
-                  f"exhausted: {s['exhausted']}  parity: {s['parity']}  "
-                  f"leaked: {len(s['leaked_segments'])}")
-    if "retarget" in record:
-        r = record["retarget"]
-        print(f"  retarget ({r['donor_scale']} -> {r['target_scale']}, "
-              f"{r['grid_cells']} cells): remap prepare "
-              f"{r['retarget_prepare_seconds']}s vs cold native record "
-              f"{r['cold_record_seconds']}s "
-              f"(speedup {r['speedup_vs_cold_record']}x)")
-        print(f"    native tx recorded: {r['native_recorded_transactions']}  "
-              f"retargeted cells: {r['retargeted_cells']}  "
-              f"identity parity: {r['identity_parity']}  "
-              f"verify passed: {r['verify']['passed']}")
-    if "parallel" in record:
-        p = record["parallel"]
-        print(f"  parallel (jobs={p['jobs']}): {p['wall_seconds']}s "
-              f"(speedup {p['speedup_vs_serial']}x)")
-    print(f"  deterministic: {record['deterministic']}")
-    for warning in warnings:
-        print(f"WARNING: {warning}", file=sys.stderr)
-    return 1 if (warnings and args.strict) else 0
+    print(f"wrote {output} ({args.spec}, {record['mode']})")
+    for gate in gates:
+        value = gate.value
+        shown = f"{value:.4g}" if isinstance(value, float) else json.dumps(value)
+        print(f"{'PASS' if gate.passed else 'FAIL'} {gate.name}: {shown} ({gate.bound})")
+    return 1 if args.strict and not all(gate.passed for gate in gates) else 0
 
 
 if __name__ == "__main__":

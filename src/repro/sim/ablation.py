@@ -26,11 +26,11 @@ Cells are expanded densely (full factorial, axes in insertion order) as
 ``run_cells(..., fast=True)``; :class:`AblationResults` then reduces the
 grid to per-axis marginal sensitivities, renders paper-style tables, and
 serialises to the ``BENCH_ablation.json`` record
-(``python benchmarks/record.py --ablation``).
+(``python benchmarks/record.py ablation``).
 
 :func:`verify_parity` spot-checks the engine's core claim by re-running
 sample cells under full execution and comparing every simulated metric
-bit-for-bit — the replay parity flag the CI ``ablation-smoke`` job gates on.
+bit-for-bit — the replay parity flag the ``ablation`` bench record gates on.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ workload registries):
 The timing contract is unchanged by the backend choice: the device model
 stays authoritative for simulated time, a backend only holds the bytes.
 Replay parity across backends is pinned in ``tests/test_page_store.py``
-and gated in ``benchmarks/BENCH_storage.json``.
+and gated in ``benchmarks/BENCH_storage.json``
+(``python benchmarks/record.py storage``).
 
 Instantiating the abstract class directly — ``PageStore(capacity)`` —
 returns a :class:`MemoryPageStore`, pathlib-style, so every historical

@@ -9,7 +9,7 @@ store.  Selection threads through ``SystemConfig.page_store`` /
 Backends differ only in *where the bytes live*; the device model still
 charges all simulated time, so any backend yields bit-identical results
 (pinned in ``tests/test_page_store.py``, gated in
-``benchmarks/BENCH_storage.json``).
+``benchmarks/BENCH_storage.json`` by ``python benchmarks/record.py storage``).
 """
 
 from __future__ import annotations

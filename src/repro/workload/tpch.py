@@ -27,7 +27,8 @@ transaction dimension pages resident across recycles.  LRU-2 ranks
 once-referenced pages below *all* twice-referenced pages, so the fresh
 pass-1 admissions evict one another before their pass-2 re-reference
 arrives — the fact working set never establishes itself, and steady-state
-hit ratio falls below GSC's (gated in ``benchmarks/BENCH_scan.json``).
+hit ratio falls below GSC's (gated in ``benchmarks/BENCH_scan.json`` by
+``python benchmarks/record.py scan``).
 
 Knobs: ``scan_pages`` (chunk depth), ``scan_skew`` (Zipf exponent over
 chunk starts — the selectivity profile), and ``probe_fraction`` /

@@ -7,7 +7,7 @@ donor tier uses a purpose-built ``DONOR`` profile slightly larger than
 ``TINY`` in every segment, so donor recording stays test-cheap while still
 exercising real compression.  The statistical gates themselves
 (:func:`repro.sim.retarget.verify_retarget`) run at reference size in CI's
-``retarget-smoke`` job via ``python -m repro retarget --verify``; here the
+``cli-smoke`` job via ``python -m repro retarget --verify``; here the
 profile machinery is unit-tested on its own invariants.
 """
 
@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import random
+from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +37,7 @@ from repro.sim.replay import (
     remove_cached_traces,
     replay_cell,
 )
+from repro.sim import retarget
 from repro.sim.retarget import (
     RetargetedTraceRecorder,
     access_profile,
@@ -42,12 +46,24 @@ from repro.sim.retarget import (
     resolve_recorder,
     retarget_compatible,
     retarget_incompatibility,
+    remap_trace_args,
     retargeted_recorder,
 )
-from repro.sim.trace import SharedTraceHandle
+from repro.sim.trace import (
+    OP_ABORT,
+    OP_BEGIN,
+    OP_COMMIT,
+    OP_READ,
+    OP_READ_DUP,
+    OP_TXEND,
+    OP_UPDATE,
+    PAYLOAD_BITS,
+    PAYLOAD_MASK,
+    SharedTraceHandle,
+)
 from repro.sim.warmstate import clear_snapshots
 from repro.tpcc.loader import estimate_db_pages
-from repro.tpcc.scale import TINY, ScaleProfile, page_geometry
+from repro.tpcc.scale import BENCH, TINY, ScaleProfile, page_geometry
 
 #: A donor ~2x TINY in the variable segments: cheap to record, and every
 #: TINY segment fits inside it, so compression is real but test-fast.
@@ -166,6 +182,83 @@ def test_access_profile_decile_mass():
     for segment in profile["segments"].values():
         if segment["share"]:
             assert abs(sum(segment["deciles"]) - 1.0) < 1e-9
+
+
+# -- numpy and pure-array branches ---------------------------------------------
+
+#: Transactions in the synthetic BENCH stream, and where the remapped suffix
+#: starts (a transaction boundary past the first third).
+SYNTH_TX = 300
+SUFFIX_TX = 100
+
+
+def _synthetic_bench_trace(seed: int = 7):
+    """A BENCH-page-id boundary stream using every opcode, plus the
+    ``(op, arg)`` offsets of transaction ``SUFFIX_TX``'s BEGIN."""
+    rng = random.Random(seed)
+    n_pages = page_geometry(BENCH)[-1].end_page
+    ops, args = array("B"), array("q")
+    suffix = None
+    for tx in range(SYNTH_TX):
+        if tx == SUFFIX_TX:
+            suffix = (len(ops), len(args))
+        ops.append(OP_BEGIN)
+        for _ in range(rng.randint(1, 12)):
+            draw = rng.random()
+            if draw < 0.6:
+                ops.append(OP_READ)
+                args.append(rng.randrange(n_pages))
+            elif draw < 0.75:
+                ops.append(OP_READ_DUP)
+            else:
+                ops.append(OP_UPDATE)
+                args.append(
+                    (rng.randrange(n_pages) << PAYLOAD_BITS) | rng.randrange(PAYLOAD_MASK)
+                )
+        ops.append(OP_COMMIT if rng.random() < 0.95 else OP_ABORT)
+        ops.append(OP_TXEND)
+        args.append(rng.randrange(16))
+    return ops, args, suffix
+
+
+def _remap_outputs(ops, args, suffix):
+    """Every output of the three branched functions on a BENCH->TINY remap."""
+    table = build_remap_table.__wrapped__(BENCH, TINY)  # bypass the cache
+    remapped = remap_trace_args(ops, args, table)
+    tail = remap_trace_args(ops, args, table, *suffix)
+    profile = access_profile(SimpleNamespace(ops=ops, args=remapped), TINY, SYNTH_TX)
+    return table, remapped, tail, profile
+
+
+def test_array_branch_remaps_bench_onto_tiny(monkeypatch):
+    monkeypatch.setattr(retarget, "_np", None)
+    ops, args, suffix = _synthetic_bench_trace()
+    table, remapped, tail, profile = _remap_outputs(ops, args, suffix)
+    assert len(table) == page_geometry(BENCH)[-1].end_page
+    assert tail == remapped[suffix[1]:]
+    tiny_pages = page_geometry(TINY)[-1].end_page
+    slot = 0
+    for op in ops:
+        if op == OP_READ:
+            assert remapped[slot] == table[args[slot]] < tiny_pages
+        elif op == OP_UPDATE:
+            assert remapped[slot] >> PAYLOAD_BITS == table[args[slot] >> PAYLOAD_BITS]
+            assert remapped[slot] & PAYLOAD_MASK == args[slot] & PAYLOAD_MASK
+        elif op == OP_TXEND:
+            assert remapped[slot] == args[slot]
+        slot += op in (OP_READ, OP_UPDATE, OP_TXEND)
+    assert slot == len(args)
+    assert profile["accesses"] == sum(op in (OP_READ, OP_UPDATE) for op in ops)
+    assert sum(seg["share"] for seg in profile["segments"].values()) == pytest.approx(1.0)
+
+
+def test_numpy_branch_matches_array_branch(monkeypatch):
+    if retarget._np is None:
+        pytest.skip("numpy is not installed; only the array branch exists")
+    ops, args, suffix = _synthetic_bench_trace()
+    vectorized = _remap_outputs(ops, args, suffix)
+    monkeypatch.setattr(retarget, "_np", None)
+    assert _remap_outputs(ops, args, suffix) == vectorized
 
 
 # -- resolution precedence -----------------------------------------------------
